@@ -109,9 +109,6 @@ def cmd_reason(args, stdout, stderr) -> int:
     by_kind = {"IsA": 0, "Rel": 0, "Sub": 0}
     for f in store.facts:
         by_kind[type(f).__name__] += 1
-    violations = sorted(
-        store.violations,
-        key=lambda v: (v.kind, tuple(str(x) for x in v.involved)))
     report = {
         "facts": {**by_kind, "total": len(store.facts)},
         "strict": bool(args.strict),
@@ -119,9 +116,9 @@ def cmd_reason(args, stdout, stderr) -> int:
             {"kind": v.kind,
              "involved": [str(x) for x in v.involved],
              "witnesses": [str(w) for w in v.witnesses]}
-            for v in violations],
+            for v in store.violations],
     }
-    for v in violations:
+    for v in store.violations:
         entities = ",".join(str(x) for x in v.involved)
         witnesses = ",".join(str(w) for w in v.witnesses)
         stdout.write(f"{v.kind}\t{entities}\t{witnesses}\n")
@@ -129,7 +126,7 @@ def cmd_reason(args, stdout, stderr) -> int:
         code = _write_bytes(args.out, _json_bytes(report), stderr, stdout)
         if code:
             return code
-    return 3 if violations else 0
+    return 3 if store.violations else 0
 
 
 def cmd_graph(args, stdout, stderr) -> int:
@@ -173,9 +170,9 @@ def _read_corpus(args, stderr):
 
 def _model_payload(state, corpus, lexicon, args, constrained):
     phi = gibbs_mod.phi_matrix(state)
-    tops = gibbs_mod.top_words(state, corpus, args.top)
+    tops = gibbs_mod.rank_words(phi, corpus.vocabulary, args.top)
     topics = []
-    tags = (gibbs_mod.tag_topics(state, corpus, lexicon, args.top)
+    tags = (gibbs_mod.score_tags(phi, corpus.vocabulary, lexicon, args.top)
             if lexicon else None)
     for k in range(state.K):
         entry = {"id": k,
@@ -242,23 +239,10 @@ def cmd_tag(args, stdout, stderr) -> int:
     if code:
         return code
     lexicon = build_lexicon(o, corpus_mod.DEFAULT_STOPWORDS)
-    vocabulary = model["vocabulary"]
-    index = {w: i for i, w in enumerate(vocabulary)}
-    phi = model["phi"]
-    tagged = []
-    for k, row in enumerate(phi):
-        ranked = sorted(range(len(vocabulary)), key=lambda w: (-row[w], w))
-        topn = {vocabulary[w] for w in ranked[:args.top]}
-        scored = []
-        for concept in sorted(lexicon, key=str):
-            tokens = lexicon[concept]
-            hit = [t for t in tokens if t in topn]
-            if not hit:
-                continue
-            score = sum(row[index[t]] for t in hit) / len(tokens)
-            scored.append([str(concept), score])
-        scored.sort(key=lambda cs: (-cs[1], cs[0]))
-        tagged.append({"id": k, "tags": scored})
+    tags = gibbs_mod.score_tags(model["phi"], model["vocabulary"], lexicon,
+                                args.top)
+    tagged = [{"id": k, "tags": [[str(c), s] for c, s in scored]}
+              for k, scored in enumerate(tags)]
     return _write_bytes(args.out, _json_bytes({"topics": tagged}),
                         stderr, stdout)
 

@@ -12,6 +12,7 @@ weight ``beta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constraints import ConstraintSet, _must_closure
 
@@ -46,12 +47,50 @@ class DirichletForest:
     def is_flat(self) -> bool:
         return not self.components and not self.regions
 
+    @cached_property
+    def sampling_index(self) -> "SamplingIndex":
+        """The sampler's static view of this forest, built once."""
+        return SamplingIndex(self)
+
     def component_of(self) -> dict:
         out = {}
         for i, comp in enumerate(self.components):
             for w in comp:
                 out[w] = i
         return out
+
+
+class SamplingIndex:
+    """Static sampling structure derived from a DirichletForest."""
+
+    def __init__(self, forest: DirichletForest):
+        beta, eta, eps = forest.beta, forest.eta, forest.epsilon
+        self.eta_beta = eta * beta
+        self.eps_beta = eps * beta
+        self.comp_size = [len(c) for c in forest.components]
+        # word -> ("free",) | ("ml", comp) | ("region", r, comp)
+        self.role = [("free",)] * forest.vocab_size
+        self.region_of_comp = {m: r for r, region in enumerate(forest.regions)
+                               for m in region.component_ids}
+        for m, comp in enumerate(forest.components):
+            r = self.region_of_comp.get(m)
+            for w in comp:
+                self.role[w] = ("ml", m) if r is None else ("region", r, m)
+        # per region: root edge weight (constant across branches) and per
+        # branch the gamma total of the branch root's children
+        self.region_gamma = [beta * len(reg.words) for reg in forest.regions]
+        self.branch_gamma = []
+        self.branch_members = []  # per region, per branch: set of comp ids
+        for region in forest.regions:
+            gammas, members = [], []
+            total_words = len(region.words)
+            for clique in region.cliques:
+                in_words = sum(len(forest.components[m]) for m in clique)
+                gammas.append(beta * in_words
+                              + self.eps_beta * (total_words - in_words))
+                members.append(frozenset(clique))
+            self.branch_gamma.append(gammas)
+            self.branch_members.append(members)
 
 
 def maximal_cliques(n: int, edges: set) -> list:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import Corpus
-from .forest import DirichletForest, flat_forest
+from .forest import DirichletForest
 
 
 class InvalidHyperparameter(Exception):
@@ -49,42 +49,6 @@ class TopicModelState:
     q: Optional[list] = None        # topic x region branch selections
     n_comp: Optional[list] = None   # topic x component counts
     n_region: Optional[list] = None # topic x region counts
-
-
-class _TreeIndex:
-    """Static sampling structure derived from a DirichletForest."""
-
-    def __init__(self, forest: DirichletForest):
-        self.forest = forest
-        beta, eta, eps = forest.beta, forest.eta, forest.epsilon
-        self.eta_beta = eta * beta
-        self.eps_beta = eps * beta
-        self.comp_size = [len(c) for c in forest.components]
-        # word -> ("free",) | ("ml", comp) | ("region", r, comp)
-        self.role = [("free",)] * forest.vocab_size
-        region_of_comp = {}
-        for r, region in enumerate(forest.regions):
-            for m in region.component_ids:
-                region_of_comp[m] = r
-        for m, comp in enumerate(forest.components):
-            r = region_of_comp.get(m)
-            for w in comp:
-                self.role[w] = ("ml", m) if r is None else ("region", r, m)
-        # per region: root edge weight (constant across branches) and per
-        # branch the gamma total of the branch root's children
-        self.region_gamma = [beta * len(reg.words) for reg in forest.regions]
-        self.branch_gamma = []
-        self.branch_members = []  # per region, per branch: set of comp ids
-        for r, region in enumerate(forest.regions):
-            gammas, members = [], []
-            total_words = len(region.words)
-            for clique in region.cliques:
-                in_words = sum(len(forest.components[m]) for m in clique)
-                gammas.append(beta * in_words
-                              + self.eps_beta * (total_words - in_words))
-                members.append(frozenset(clique))
-            self.branch_gamma.append(gammas)
-            self.branch_members.append(members)
 
 
 def _validate(corpus: Corpus, K, alpha, beta, iters):
@@ -125,7 +89,7 @@ def _run(corpus, forest, K, alpha, beta, iters, seed):
     V = len(corpus.vocabulary)
     docs = corpus.documents
     D = len(docs)
-    tree = _TreeIndex(forest) if forest is not None else None
+    tree = forest.sampling_index if forest is not None else None
     n_regions = len(forest.regions) if forest is not None else 0
     n_comps = len(forest.components) if forest is not None else 0
 
@@ -184,7 +148,6 @@ def _run(corpus, forest, K, alpha, beta, iters, seed):
                             tree, role, w, beta, vbeta,
                             n_kw[k], n_k[k], n_comp[k], n_region[k], q[k])
                         weights[k] = total
-                    role_new = role
                 u = rng.random() * total
                 k_new = K - 1
                 for k in range(K):
@@ -196,15 +159,16 @@ def _run(corpus, forest, K, alpha, beta, iters, seed):
                 n_kw[k_new][w] += 1
                 n_k[k_new] += 1
                 if tree is not None:
-                    if role_new[0] == "ml":
-                        n_comp[k_new][role_new[1]] += 1
-                    elif role_new[0] == "region":
-                        n_comp[k_new][role_new[2]] += 1
-                        n_region[k_new][role_new[1]] += 1
+                    if role[0] == "ml":
+                        n_comp[k_new][role[1]] += 1
+                    elif role[0] == "region":
+                        n_comp[k_new][role[2]] += 1
+                        n_region[k_new][role[1]] += 1
         if tree is not None:
             for k in range(K):
                 for r in range(n_regions):
-                    q[k][r] = _sample_branch(tree, r, n_kw[k], n_comp[k], rng)
+                    q[k][r] = _sample_branch(forest, r, n_kw[k], n_comp[k],
+                                             rng)
 
     return TopicModelState(
         K=K, alpha=alpha, beta=beta, z=z, n_dk=n_dk, n_kw=n_kw, n_k=n_k,
@@ -216,7 +180,6 @@ def _run(corpus, forest, K, alpha, beta, iters, seed):
 
 def _path_prob(tree, role, w, beta, vbeta, nkw, nk, ncomp, nregion, qk):
     """Posterior word weight for one topic: product along the tree path."""
-    forest = tree.forest
     root_den = vbeta + nk
     if role[0] == "free":
         return (beta + nkw[w]) / root_den
@@ -240,9 +203,9 @@ def _path_prob(tree, role, w, beta, vbeta, nkw, nk, ncomp, nregion, qk):
     return p * (tree.eps_beta + nkw[w]) / den
 
 
-def _branch_log_score(tree, r, j, nkw, ncomp):
+def _branch_log_score(forest, r, j, nkw, ncomp):
     """Dirichlet-multinomial marginal of one candidate branch (log)."""
-    forest = tree.forest
+    tree = forest.sampling_index
     region = forest.regions[r]
     beta = forest.beta
     members = tree.branch_members[r][j]
@@ -277,11 +240,11 @@ def _branch_log_score(tree, r, j, nkw, ncomp):
     return score
 
 
-def _sample_branch(tree, r, nkw, ncomp, rng):
-    cliques = tree.forest.regions[r].cliques
+def _sample_branch(forest, r, nkw, ncomp, rng):
+    cliques = forest.regions[r].cliques
     if len(cliques) == 1:
         return 0
-    scores = [_branch_log_score(tree, r, j, nkw, ncomp)
+    scores = [_branch_log_score(forest, r, j, nkw, ncomp)
               for j in range(len(cliques))]
     mx = max(scores)
     probs = [exp(s - mx) for s in scores]
@@ -298,11 +261,9 @@ def _sample_branch(tree, r, nkw, ncomp, rng):
 def sample_branch(forest: DirichletForest, region: int, topic_word_counts,
                   rng) -> int:
     """Resample one region's branch for fixed per-word topic counts."""
-    tree = _TreeIndex(forest)
-    ncomp = [0] * len(forest.components)
-    for m, comp in enumerate(forest.components):
-        ncomp[m] = sum(topic_word_counts[w] for w in comp)
-    return _sample_branch(tree, region, topic_word_counts, ncomp, rng)
+    ncomp = [sum(topic_word_counts[w] for w in comp)
+             for comp in forest.components]
+    return _sample_branch(forest, region, topic_word_counts, ncomp, rng)
 
 
 # --- posterior summaries ----------------------------------------------------
@@ -317,50 +278,58 @@ def phi_matrix(state: TopicModelState):
     if forest is None or forest.is_flat:
         return [[(beta + state.n_kw[k][w]) / (vbeta + state.n_k[k])
                  for w in range(V)] for k in range(state.K)]
-    tree = _TreeIndex(forest)
+    tree = forest.sampling_index
     return [[_path_prob(tree, tree.role[w], w, beta, vbeta,
                         state.n_kw[k], state.n_k[k], state.n_comp[k],
                         state.n_region[k], state.q[k])
              for w in range(V)] for k in range(state.K)]
 
 
-def top_words(state: TopicModelState, corpus: Corpus, n: int):
+def _ranked(row, n: int) -> list:
+    """Ids of the ``n`` most probable words in ``row``; ties by word id."""
+    return sorted(range(len(row)), key=lambda w: (-row[w], w))[:n]
+
+
+def rank_words(phi, vocabulary, n: int):
     """Per-topic ranked (word, probability) lists; ties break by word id."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi = phi_matrix(state)
+    return [[(vocabulary[w], row[w]) for w in _ranked(row, n)] for row in phi]
+
+
+def top_words(state: TopicModelState, corpus: Corpus, n: int):
+    """:func:`rank_words` over the state's :func:`phi_matrix`."""
+    return rank_words(phi_matrix(state), corpus.vocabulary, n)
+
+
+def score_tags(phi, vocabulary, lexicon: dict, n: int):
+    """Rank ontology concepts against each topic's top-``n`` words.
+
+    score(concept, topic) = sum of phi over the concept tokens that appear
+    in the topic's top-n words, normalized by the concept's token count.
+    The sum follows the iteration order of the concept's token set, which
+    varies with the interpreter's string hash seed.
+    """
+    index = {w: i for i, w in enumerate(vocabulary)}
     out = []
-    for k in range(state.K):
-        ranked = sorted(range(len(corpus.vocabulary)),
-                        key=lambda w: (-phi[k][w], w))[:n]
-        out.append([(corpus.vocabulary[w], phi[k][w]) for w in ranked])
+    for row in phi:
+        topn = {vocabulary[w] for w in _ranked(row, n)}
+        scored = []
+        for concept in sorted(lexicon, key=str):
+            tokens = lexicon[concept]
+            hit = [t for t in tokens if t in topn]
+            if hit:
+                score = sum(row[index[t]] for t in hit) / len(tokens)
+                scored.append((concept, score))
+        scored.sort(key=lambda cs: (-cs[1], str(cs[0])))
+        out.append(scored)
     return out
 
 
 def tag_topics(state: TopicModelState, corpus: Corpus, lexicon: dict,
                n: int = 10):
-    """Rank ontology concepts against each topic's top words.
-
-    score(concept, topic) = sum of phi over the concept tokens that appear
-    in the topic's top-n words, normalized by the concept's token count.
-    """
-    phi = phi_matrix(state)
-    index = corpus.vocab_index
-    tops = top_words(state, corpus, n)
-    out = []
-    for k in range(state.K):
-        topn = {w for w, _ in tops[k]}
-        scored = []
-        for concept in sorted(lexicon, key=str):
-            tokens = lexicon[concept]
-            hit = [t for t in tokens if t in topn]
-            if not hit:
-                continue
-            score = sum(phi[k][index[t]] for t in hit) / len(tokens)
-            scored.append((concept, score))
-        scored.sort(key=lambda cs: (-cs[1], str(cs[0])))
-        out.append(scored)
-    return out
+    """:func:`score_tags` over the state's :func:`phi_matrix`."""
+    return score_tags(phi_matrix(state), corpus.vocabulary, lexicon, n)
 
 
 def log_likelihood(state: TopicModelState, corpus: Corpus) -> float:
@@ -381,31 +350,24 @@ def log_likelihood(state: TopicModelState, corpus: Corpus) -> float:
                 if row[w]:
                     total += lgamma(beta + row[w]) - lgamma(beta)
         return total
-    tree = _TreeIndex(forest)
     for k in range(K):
-        total += _tree_log_marginal(tree, state, k, beta, V)
+        total += _tree_log_marginal(forest, state, k, beta, V)
     return total
 
 
-def _tree_log_marginal(tree, state, k, beta, V):
-    forest = tree.forest
+def _tree_log_marginal(forest, state, k, beta, V):
+    tree = forest.sampling_index
     nkw, ncomp, nregion = state.n_kw[k], state.n_comp[k], state.n_region[k]
-    in_structure = set()
-    for comp in forest.components:
-        in_structure.update(comp)
     # root node
     gamma_sum = n_sum = 0.0
     score = 0.0
     for w in range(V):
-        if w not in in_structure:
+        if tree.role[w][0] == "free":
             score += lgamma(beta + nkw[w]) - lgamma(beta)
             gamma_sum += beta
             n_sum += nkw[w]
-    region_comp = set()
-    for region in forest.regions:
-        region_comp.update(region.component_ids)
     for m, comp in enumerate(forest.components):
-        if m in region_comp:
+        if m in tree.region_of_comp:
             continue
         g = len(comp) * beta
         score += lgamma(g + ncomp[m]) - lgamma(g)
@@ -423,6 +385,6 @@ def _tree_log_marginal(tree, state, k, beta, V):
         score += lgamma(g + nregion[r]) - lgamma(g)
         gamma_sum += g
         n_sum += nregion[r]
-        score += _branch_log_score(tree, r, state.q[k][r], nkw, ncomp)
+        score += _branch_log_score(forest, r, state.q[k][r], nkw, ncomp)
     score += lgamma(gamma_sum) - lgamma(gamma_sum + n_sum)
     return score

@@ -22,8 +22,8 @@ from .model import (
     ObjectPropertyAssertion,
     ObjectPropertyDomain,
     ObjectPropertyRange,
-    UnionOf,
 )
+from .ofn import _escape
 from .reasoner import InferredStore, classify
 
 
@@ -351,20 +351,24 @@ def _export_graphml(g, p) -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
+def _dot_str(value) -> str:
+    return f'"{_escape(str(value))}"'
+
+
 def _export_dot(g, p) -> bytes:
     lines = ["digraph concepts {"]
     for node in g.nodes:
-        attrs = [f'label="{node.label}"', f'kind="{node.kind}"']
+        attrs = [f"label={_dot_str(node.label)}", f"kind={_dot_str(node.kind)}"]
         if p is not None:
             c = p.assignment[node.name]
             attrs.append(f'cluster="{c}"')
             attrs.append('style="filled"')
             attrs.append(f'fillcolor="{PALETTE[c % len(PALETTE)]}"')
-        lines.append(f'  "{node.name}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot_str(node.name)} [{", ".join(attrs)}];')
     for e in g.edges:
         lines.append(
-            f'  "{e.source}" -> "{e.target}" '
-            f'[label="{e.kind}", weight={e.weight:g}];')
+            f'  {_dot_str(e.source)} -> {_dot_str(e.target)} '
+            f'[label={_dot_str(e.kind)}, weight={e.weight:g}];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -8,8 +8,9 @@ named classes and flat unions; this is all the bundled domain model needs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 LOCAL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -312,16 +313,24 @@ class Ontology:
 
     # -- declaration helpers --
 
+    @cached_property
+    def _kinds(self) -> dict:
+        """Name -> frozenset of declared kinds, built once per value."""
+        kinds: dict[Name, frozenset] = {}
+        for n, k in self.declarations:
+            kinds[n] = kinds.get(n, frozenset()) | {k}
+        return kinds
+
     def kinds_of(self, name: Name) -> frozenset:
-        return frozenset(k for (n, k) in self.declarations if n == name)
+        return self._kinds.get(name, frozenset())
 
     def is_declared(self, name: Name, kind: Optional[EntityKind] = None) -> bool:
         if kind is None:
-            return any(n == name for (n, _) in self.declarations)
-        return (name, kind) in self.declarations
+            return name in self._kinds
+        return kind in self.kinds_of(name)
 
     def names_of_kind(self, kind: EntityKind) -> set:
-        return {n for (n, k) in self.declarations if k == kind}
+        return {n for n, ks in self._kinds.items() if kind in ks}
 
     def declare(self, name: Name, kind: EntityKind) -> "Ontology":
         return replace(self, declarations=self.declarations | {(name, kind)})
@@ -335,22 +344,23 @@ class Ontology:
                 out.setdefault(ax.entity, []).append(ax.text)
         return {n: tuple(ts) for n, ts in out.items()}
 
-    def label_of(self, name: Name) -> Optional[str]:
-        for ax in self.axioms:
-            if isinstance(ax, Label) and ax.entity == name:
-                return ax.text
-        return None
+
+def check_reference(o: Ontology, name: Name,
+                    kind: Optional[EntityKind]) -> None:
+    """Raise :class:`UndeclaredEntity` / :class:`KindMismatch` unless ``o``
+    declares ``name`` as ``kind`` (``None``: as any kind)."""
+    kinds = o.kinds_of(name)
+    if not kinds:
+        raise UndeclaredEntity(f"{name} is not declared")
+    if kind is not None and kind not in kinds:
+        raise KindMismatch(f"{name} is not declared as {kind.value}")
 
 
 def check_axiom(o: Ontology, ax: Axiom) -> None:
     """Raise :class:`UndeclaredEntity` / :class:`KindMismatch` when ``ax``
     references names the ontology does not declare appropriately."""
     for name, kind in axiom_signature(ax):
-        kinds = o.kinds_of(name)
-        if not kinds:
-            raise UndeclaredEntity(f"{name} is not declared")
-        if kind is not None and kind not in kinds:
-            raise KindMismatch(f"{name} is not declared as {kind.value}")
+        check_reference(o, name, kind)
 
 
 def add_axiom(o: Ontology, ax: Axiom) -> Ontology:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -27,6 +27,7 @@ from .model import (
     EntityKind,
     EquivalentClasses,
     InverseObjectProperties,
+    KindMismatch,
     Label,
     Literal,
     Name,
@@ -34,12 +35,13 @@ from .model import (
     ObjectPropertyDomain,
     ObjectPropertyRange,
     Ontology,
-    OntologyError,
     PropertyCharacteristic,
     SubClassOf,
     SubObjectPropertyOf,
+    UndeclaredEntity,
     UnionOf,
     axiom_signature,
+    check_reference,
 )
 
 CHARACTERISTIC_KEYWORDS = {
@@ -482,23 +484,22 @@ class _Parser:
     # -- finalization --
 
     def finish(self) -> ParseResult:
-        for name, kind, span in self.references:
-            kinds = {k for (n, k) in self.declarations if n == name}
-            if not kinds:
-                self._diag("error", span, "undeclared",
-                           f"{name} is not declared")
-            elif kind is not None and kind not in kinds:
-                self._diag("error", span, "kind-mismatch",
-                           f"{name} is not declared as {kind.value}")
-        diagnostics = tuple(self.diagnostics)
-        if any(d.severity == "error" for d in diagnostics):
-            return ParseResult(None, diagnostics)
         onto = Ontology(
             ontology_id=self.ontology_id,
             declarations=frozenset(self.declarations),
             axioms=tuple(self.axioms),
             prefixes=tuple(sorted(self.prefixes.items())),
         )
+        for name, kind, span in self.references:
+            try:
+                check_reference(onto, name, kind)
+            except (UndeclaredEntity, KindMismatch) as error:
+                code = ("undeclared" if isinstance(error, UndeclaredEntity)
+                        else "kind-mismatch")
+                self._diag("error", span, code, str(error))
+        diagnostics = tuple(self.diagnostics)
+        if any(d.severity == "error" for d in diagnostics):
+            return ParseResult(None, diagnostics)
         return ParseResult(onto, diagnostics)
 
 

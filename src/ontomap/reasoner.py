@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .model import (
     Characteristic,
@@ -86,6 +86,7 @@ class InferredStore:
     derivations: dict
     violations: tuple
     disjoint_pairs: frozenset  # of (Name, Name), sorted pairs
+    isa_by_cls: dict           # class -> set of its member individuals
 
 
 class UnknownFact(Exception):
@@ -325,6 +326,7 @@ def saturate(o: Ontology, strict: bool = False) -> InferredStore:
         derivations=engine.derivations,
         violations=tuple(violations),
         disjoint_pairs=frozenset(engine.disjoint_pairs),
+        isa_by_cls=engine.isa_by_cls,
     )
 
 
@@ -332,10 +334,7 @@ def instances_of(store: InferredStore, c: Name) -> frozenset:
     """All asserted or derived members of class ``c``."""
     if not store.ontology.is_declared(c, EntityKind.CLASS):
         raise UndeclaredEntity(f"{c} is not a declared class")
-    return frozenset(
-        f.individual for f in store.facts
-        if isinstance(f, IsA) and f.cls == c
-    )
+    return frozenset(store.isa_by_cls.get(c, ()))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -181,6 +182,23 @@ def test_dot_contains_palette_colors(fixture_store):
     assert text.startswith("digraph")
     assert "canBeTreated" in text
     assert "fillcolor=\"#" in text
+
+
+def test_dot_quotes_any_label_text():
+    label = 'the "big" one\\'
+    g = ConceptGraph(
+        nodes=(GraphNode(N("A"), "class", label),
+               GraphNode(N("B"), "class", "plain")),
+        edges=(GraphEdge(N("A"), N("B"), "subclass"),))
+    for p in (None, Partition({N("A"): 0, N("B"): 1}, seed=0)):
+        text = export(g, p, "dot").decode("utf-8")
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        for line in text.splitlines():
+            # outside well-formed quoted strings no quote or backslash is left
+            assert not re.search(r'["\\]', quoted.sub("", line)), line
+        labels = [m.group(1) for m in re.finditer(r'label=' + quoted.pattern,
+                                                  text)]
+        assert re.sub(r"\\(.)", r"\1", labels[0]) == label
 
 
 def test_nodelink_json_round_trips(fixture_store):

@@ -71,6 +71,32 @@ def test_kind_mismatch():
     assert "kind-mismatch" in codes(result)
 
 
+def test_reference_diagnostics_follow_reference_order_with_spans():
+    # references before their declarations, punned :x (class and
+    # individual), a union member and an annotation subject
+    result = parse_doc(
+        "SubClassOf(:A :Missing)\n"
+        "ClassAssertion(:p :x)\n"
+        "Declaration(Class(:A))\n"
+        "Declaration(ObjectProperty(:p))\n"
+        "Declaration(Class(:x))\n"
+        "Declaration(NamedIndividual(:x))\n"
+        "ClassAssertion(:x :x)\n"
+        "ObjectPropertyAssertion(:p :x :Nope)\n"
+        "SubClassOf(:x ObjectUnionOf(:A :p))\n"
+        'AnnotationAssertion(rdfs:label :Gone "g")\n'
+        "FancyAxiom(:A)")
+    assert result.ontology is None
+    assert [(str(d), d.span.length) for d in result.diagnostics] == [
+        ("error:13:1:unknown-keyword:unknown axiom keyword 'FancyAxiom'", 10),
+        ("error:3:15:undeclared::Missing is not declared", 8),
+        ("error:4:16:kind-mismatch::p is not declared as Class", 2),
+        ("error:10:31:undeclared::Nope is not declared", 5),
+        ("error:11:32:kind-mismatch::p is not declared as Class", 2),
+        ("error:12:32:undeclared::Gone is not declared", 5),
+    ]
+
+
 def test_unterminated_string():
     result = parse_doc(
         'Declaration(DataProperty(:d))\nDeclaration(NamedIndividual(:x))\n'

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import naive_closure, random_reasoner_ontology
+from helpers import naive_closure, random_ontology, random_reasoner_ontology
 from ontomap.model import (
     Characteristic,
     ClassAssertion,
@@ -73,6 +73,19 @@ def test_fixture_instances_of_medical_condition(fixture_store):
     got = instances_of(fixture_store, N("MedicalCondition"))
     assert got == {N("Hernia"), N("Hypoglycemia"), N("NightEatingSyndrome"),
                    N("Obesity"), N("Type2Diabetes")}
+
+
+def test_instances_of_matches_fact_scan_on_random_ontologies():
+    rnd = random.Random(31)
+    answered = 0
+    for _ in range(40):
+        store = saturate(random_ontology(rnd))
+        for c in store.ontology.names_of_kind(EntityKind.CLASS):
+            scan = {f.individual for f in store.facts
+                    if isinstance(f, IsA) and f.cls == c}
+            assert instances_of(store, c) == scan
+            answered += bool(scan)
+    assert answered > 20
 
 
 def test_instances_of_undeclared_class_raises(fixture_store):
