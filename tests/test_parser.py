@@ -169,3 +169,74 @@ def test_random_round_trip_small_batch():
         result = ofn.parse(text)
         assert result.ontology == o, text
         assert ofn.serialize(result.ontology) == text
+
+
+def test_slot_and_arity_diagnostics_pin_messages_and_spans():
+    # one malformed axiom per line: every argument slot's "expected <noun>"
+    # message, the arity messages, and a dropped annotation whose warning
+    # comes before the arity error of the same axiom
+    result = parse_doc(
+        "Declaration(Class(:A))\n"
+        "Declaration(Class(:B))\n"
+        "Declaration(ObjectProperty(:p))\n"
+        "Declaration(DataProperty(:d))\n"
+        "Declaration(NamedIndividual(:x))\n"
+        'SubClassOf(:A "s")\n'
+        "DisjointClasses(:A Thing)\n"
+        'DisjointUnion("w" :A :B)\n'
+        "ObjectPropertyDomain(ex: :A)\n"
+        "DataPropertyDomain(Thing :A)\n"
+        'DataPropertyRange(:d "x")\n'
+        "DataPropertyRange(:d xsd:float)\n"
+        "ClassAssertion(:A)\n"
+        "ObjectPropertyAssertion(:p :x)\n"
+        "DataPropertyAssertion(:d :x :B)\n"
+        'DataPropertyAssertion(:d :x "1"^^"t")\n'
+        'AnnotationAssertion("p" :A "u")\n'
+        'AnnotationAssertion(rdfs:label "t" "u")\n'
+        "AnnotationAssertion(rdfs:label :A :B)\n"
+        "DisjointClasses(:A :A)\n"
+        "DisjointUnion(:A :B)\n"
+        "SubClassOf(ObjectUnionOf(:A :A) :B)\n"
+        'SubClassOf(ObjectUnionOf(:A "z") :B)\n'
+        "SubClassOf(:A :B :A)\n"
+        'AnnotationAssertion(rdfs:comment :A "n" :B)')
+    assert result.ontology is None
+    assert [(str(d), d.span.length) for d in result.diagnostics] == [
+        ("error:8:15:syntax:expected class expression, found '\"s\"'", 3),
+        ("error:9:20:syntax:expected class name, found keyword 'Thing'", 5),
+        ("error:10:15:syntax:expected class name, found '\"w\"'", 3),
+        ("error:11:22:syntax:expected object property, "
+         "found bare prefix 'ex:'", 3),
+        ("error:12:20:syntax:expected data property, found keyword 'Thing'",
+         5),
+        ("error:13:22:syntax:expected datatype, found '\"x\"'", 3),
+        ("error:14:22:datatype:unsupported datatype 'xsd:float'", 9),
+        ("error:15:18:syntax:expected individual, found ')'", 1),
+        ("error:16:30:syntax:expected individual, found ')'", 1),
+        ("error:17:29:syntax:expected literal, found ':B'", 2),
+        ("error:18:34:syntax:expected datatype, found '\"t\"'", 3),
+        ("error:19:21:syntax:expected annotation property, found '\"p\"'", 3),
+        ("error:20:32:syntax:expected annotated entity, found '\"t\"'", 3),
+        ("error:21:35:syntax:expected literal, found ':B'", 2),
+        ("error:22:1:arity:DisjointClasses needs at least two distinct "
+         "classes", 15),
+        ("error:23:1:arity:DisjointUnion needs at least two distinct parts",
+         13),
+        ("error:24:12:arity:ObjectUnionOf needs at least two distinct "
+         "classes", 13),
+        ("error:25:29:syntax:expected ')' after ObjectUnionOf members", 3),
+        ("error:26:18:arity:too many arguments to SubClassOf", 2),
+        ("warning:27:21:annotation-dropped:annotation property "
+         "'rdfs:comment' is not preserved", 12),
+        ("error:27:41:arity:too many arguments to AnnotationAssertion", 2),
+    ]
+
+
+def test_truncated_axiom_reports_end_of_file():
+    result = ofn.parse(HEADER + "Declaration(Class(:A))\nSubClassOf(:A")
+    assert [(str(d), d.span.length) for d in result.diagnostics] == [
+        ("error:4:14:syntax:expected class expression, found 'end of file'",
+         0),
+        ("error:4:14:unterminated:unterminated Ontology(...) block", 0),
+    ]
