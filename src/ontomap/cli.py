@@ -8,7 +8,8 @@ Exit codes are a stable contract:
   4  empty concept graph
   5  corpus empty after filtering
   6  constraint regions exceed the branch budget
-  64 flag misuse (``--constrained`` without ``--ontology``)
+  64 usage error: a malformed or out-of-range flag, or ``--constrained``
+     without ``--ontology``
 
 Diagnostics print to standard error one per line as
 ``severity:line:col:code:message``.  Violations print one per line as
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import constraints as constraints_mod
@@ -57,7 +59,7 @@ def parse_metrics_text(text: str) -> dict:
 def _load_ontology(path, stderr):
     try:
         result = ofn.parse_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=stderr)
         return None, 2
     for diag in result.diagnostics:
@@ -157,7 +159,7 @@ def _read_corpus(args, stderr):
     except OSError as exc:
         print(f"error: cannot read {args.corpus}: {exc}", file=stderr)
         return None, 2
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: malformed corpus {args.corpus}: {exc}", file=stderr)
         return None, 2
     cfg = corpus_mod.IngestConfig(min_df=args.min_df)
@@ -229,18 +231,18 @@ def cmd_tag(args, stdout, stderr) -> int:
     try:
         with open(args.model, encoding="utf-8") as fh:
             model = json.load(fh)
+        phi, vocabulary = model["phi"], model["vocabulary"]
     except OSError as exc:
         print(f"error: cannot read {args.model}: {exc}", file=stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: malformed model file {args.model}: {exc}", file=stderr)
         return 2
     o, code = _load_ontology(args.ontology, stderr)
     if code:
         return code
     lexicon = build_lexicon(o, corpus_mod.DEFAULT_STOPWORDS)
-    tags = gibbs_mod.score_tags(model["phi"], model["vocabulary"], lexicon,
-                                args.top)
+    tags = gibbs_mod.score_tags(phi, vocabulary, lexicon, args.top)
     tagged = [{"id": k, "tags": [[str(c), s] for c, s in scored]}
               for k, scored in enumerate(tags)]
     return _write_bytes(args.out, _json_bytes({"topics": tagged}),
@@ -250,8 +252,36 @@ def cmd_tag(args, stdout, stderr) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on usage errors, which ``main`` reports with exit code 64."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _ranged(convert, ok, what):
+    """An argparse ``type``: ``convert`` the text, then require ``ok``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_AT_LEAST_ONE = _ranged(float, lambda v: 1 <= v < math.inf,
+                        "a finite number >= 1")
+_FRACTION = _ranged(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ontomap",
         description="Ontology toolkit: parsing, reasoning, concept graphs, "
                     "and constrained topic models.")
@@ -276,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the concept graph")
     p.add_argument("ontology")
     p.add_argument("--cluster", action="store_true")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--format", default="dot",
                    choices=["graphml", "dot", "nodelink-json"])
     p.add_argument("--individuals", action="store_true")
@@ -286,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lda", help="fit a topic model on a corpus")
     p.add_argument("corpus", help="TSV doc_id<TAB>text (or JSON lines)")
     p.add_argument("--json-lines", action="store_true")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--k", type=_COUNT, default=10)
+    p.add_argument("--alpha", type=_POSITIVE, default=None,
                    help="default 50/k")
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--eta", type=float, default=100.0)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--beta", type=_POSITIVE, default=0.01)
+    p.add_argument("--eta", type=_AT_LEAST_ONE, default=100.0)
+    p.add_argument("--epsilon", type=_FRACTION, default=1e-6)
+    p.add_argument("--iters", type=_COUNT, default=1000)
+    p.add_argument("--seed", type=_SEED, default=42)
+    p.add_argument("--top", type=_COUNT, default=10)
     p.add_argument("--min-df", type=int, default=2)
     p.add_argument("--ontology", help="adds concept tags to the output")
     p.add_argument("--constrained", action="store_true",
@@ -307,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "ontology concepts")
     p.add_argument("model", help="JSON produced by the lda subcommand")
     p.add_argument("--ontology", required=True)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_COUNT, default=10)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_tag)
     return parser
@@ -316,7 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=stderr)
+        return 64
     return args.func(args, stdout, stderr)
 
 

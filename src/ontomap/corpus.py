@@ -97,7 +97,10 @@ def read_records(path, json_lines: bool = False):
                 continue
             if json_lines:
                 obj = json.loads(line)
-                records.append((str(obj["id"]), obj["text"]))
+                text = obj["text"]
+                if not isinstance(text, str):
+                    raise ValueError(f"line {lineno}: text is not a string")
+                records.append((str(obj["id"]), text))
             else:
                 doc_id, _, text = line.partition("\t")
                 records.append((doc_id, text))

@@ -242,46 +242,78 @@ def _expr_names(expr: ClassExpr) -> tuple[Name, ...]:
     return expr.members
 
 
+# --- axiom table ------------------------------------------------------------
+#
+# Each axiom type's argument slots in text order, as (field, slot) pairs.  A
+# slot is "expr" (a class expression), "classes" (at least two distinct class
+# names), "literal", "datatype", "text" (label text, written as a literal),
+# or a name slot: (the entity kind it requires, the noun that parse errors
+# use), where kind None accepts any declared kind.  The parser, the renderer,
+# the signature check and the metrics all read axiom shapes from here.
+
+_CLASS = (EntityKind.CLASS, "class name")
+_OBJECT_PROPERTY = (EntityKind.OBJECT_PROPERTY, "object property")
+_DATA_PROPERTY = (EntityKind.DATA_PROPERTY, "data property")
+_INDIVIDUAL = (EntityKind.INDIVIDUAL, "individual")
+_ANY = (None, "annotated entity")
+
+AXIOM_SLOTS = {
+    SubClassOf: (("sub", "expr"), ("sup", "expr")),
+    EquivalentClasses: (("a", "expr"), ("b", "expr")),
+    DisjointClasses: (("classes", "classes"),),
+    DisjointUnion: (("whole", _CLASS), ("parts", "classes")),
+    ObjectPropertyDomain: (("prop", _OBJECT_PROPERTY), ("cls", "expr")),
+    ObjectPropertyRange: (("prop", _OBJECT_PROPERTY), ("cls", "expr")),
+    DataPropertyDomain: (("prop", _DATA_PROPERTY), ("cls", "expr")),
+    DataPropertyRange: (("prop", _DATA_PROPERTY), ("datatype", "datatype")),
+    SubObjectPropertyOf: (("sub", _OBJECT_PROPERTY), ("sup", _OBJECT_PROPERTY)),
+    InverseObjectProperties: (("a", _OBJECT_PROPERTY), ("b", _OBJECT_PROPERTY)),
+    PropertyCharacteristic: (("prop", _OBJECT_PROPERTY),),
+    ClassAssertion: (("cls", "expr"), ("individual", _INDIVIDUAL)),
+    ObjectPropertyAssertion: (("prop", _OBJECT_PROPERTY),
+                              ("subject", _INDIVIDUAL),
+                              ("object", _INDIVIDUAL)),
+    DataPropertyAssertion: (("prop", _DATA_PROPERTY), ("subject", _INDIVIDUAL),
+                            ("value", "literal")),
+    Label: (("entity", _ANY), ("text", "text")),
+}
+
+
+def _keyword(ax_type, characteristic: Optional[Characteristic]) -> str:
+    if characteristic is not None:
+        return f"{characteristic.value}ObjectProperty"
+    return "AnnotationAssertion" if ax_type is Label else ax_type.__name__
+
+
+def axiom_keyword(ax: Axiom) -> str:
+    """The ``.ofn`` keyword of ``ax``, which is also its metrics row name."""
+    return _keyword(type(ax), getattr(ax, "characteristic", None))
+
+
+# keyword -> (axiom type, the fields the keyword fixes), in table order; the
+# six characteristic keywords share PropertyCharacteristic
+AXIOM_KEYWORDS = {
+    _keyword(t, c): (t, {} if c is None else {"characteristic": c})
+    for t in AXIOM_SLOTS
+    for c in (Characteristic if t is PropertyCharacteristic else (None,))
+}
+
+
 def axiom_signature(ax: Axiom) -> list[tuple[Name, Optional[EntityKind]]]:
     """Referenced names and the entity kind each position requires.
 
     ``None`` means any declared kind is acceptable (annotation subjects).
     """
-    C, OP, DP, I = (
-        EntityKind.CLASS,
-        EntityKind.OBJECT_PROPERTY,
-        EntityKind.DATA_PROPERTY,
-        EntityKind.INDIVIDUAL,
-    )
-    if isinstance(ax, SubClassOf):
-        return [(n, C) for n in _expr_names(ax.sub) + _expr_names(ax.sup)]
-    if isinstance(ax, EquivalentClasses):
-        return [(n, C) for n in _expr_names(ax.a) + _expr_names(ax.b)]
-    if isinstance(ax, DisjointClasses):
-        return [(n, C) for n in ax.classes]
-    if isinstance(ax, DisjointUnion):
-        return [(ax.whole, C)] + [(n, C) for n in ax.parts]
-    if isinstance(ax, (ObjectPropertyDomain, ObjectPropertyRange)):
-        return [(ax.prop, OP)] + [(n, C) for n in _expr_names(ax.cls)]
-    if isinstance(ax, DataPropertyDomain):
-        return [(ax.prop, DP)] + [(n, C) for n in _expr_names(ax.cls)]
-    if isinstance(ax, DataPropertyRange):
-        return [(ax.prop, DP)]
-    if isinstance(ax, SubObjectPropertyOf):
-        return [(ax.sub, OP), (ax.sup, OP)]
-    if isinstance(ax, InverseObjectProperties):
-        return [(ax.a, OP), (ax.b, OP)]
-    if isinstance(ax, PropertyCharacteristic):
-        return [(ax.prop, OP)]
-    if isinstance(ax, ClassAssertion):
-        return [(n, C) for n in _expr_names(ax.cls)] + [(ax.individual, I)]
-    if isinstance(ax, ObjectPropertyAssertion):
-        return [(ax.prop, OP), (ax.subject, I), (ax.object, I)]
-    if isinstance(ax, DataPropertyAssertion):
-        return [(ax.prop, DP), (ax.subject, I)]
-    if isinstance(ax, Label):
-        return [(ax.entity, None)]
-    raise TypeError(f"not an axiom: {ax!r}")
+    signature = []
+    for field, slot in AXIOM_SLOTS[type(ax)]:
+        value = getattr(ax, field)
+        if slot == "expr":
+            signature.extend((n, EntityKind.CLASS) for n in _expr_names(value))
+        elif slot == "classes":
+            signature.extend((n, EntityKind.CLASS) for n in value)
+        elif isinstance(slot, tuple):  # literal, datatype and text name nothing
+            signature.append((value, slot[0]))
+    return signature
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,35 +405,8 @@ def add_axiom(o: Ontology, ax: Axiom) -> Ontology:
 
 # --- metrics ----------------------------------------------------------------
 
-AXIOM_TYPE_NAMES = (
-    "SubClassOf",
-    "EquivalentClasses",
-    "DisjointClasses",
-    "DisjointUnion",
-    "ObjectPropertyDomain",
-    "ObjectPropertyRange",
-    "DataPropertyDomain",
-    "DataPropertyRange",
-    "SubObjectPropertyOf",
-    "InverseObjectProperties",
-    "SymmetricObjectProperty",
-    "AsymmetricObjectProperty",
-    "TransitiveObjectProperty",
-    "IrreflexiveObjectProperty",
-    "FunctionalObjectProperty",
-    "InverseFunctionalObjectProperty",
-    "ClassAssertion",
-    "ObjectPropertyAssertion",
-    "DataPropertyAssertion",
-)
-
-
-def axiom_type_name(ax: Axiom) -> str:
-    if isinstance(ax, PropertyCharacteristic):
-        return f"{ax.characteristic.value}ObjectProperty"
-    if isinstance(ax, Label):
-        return "AnnotationAssertion"
-    return type(ax).__name__
+AXIOM_TYPE_NAMES = tuple(kw for kw, (t, _) in AXIOM_KEYWORDS.items()
+                         if t is not Label)
 
 
 @dataclass(frozen=True)
@@ -441,7 +446,7 @@ def compute_metrics(o: Ontology) -> MetricsReport:
         if isinstance(ax, Label):
             annotations += 1
         else:
-            per_type[axiom_type_name(ax)] += 1
+            per_type[axiom_keyword(ax)] += 1
     logical = sum(per_type.values())
     declarations = len(o.declarations)
     return MetricsReport(

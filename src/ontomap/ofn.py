@@ -1,8 +1,9 @@
 """Parser and canonical serializer for the ``.ofn`` ontology file format.
 
 The format is a fixed subset of OWL 2 functional-style syntax: ``Prefix``
-lines followed by one ``Ontology(<iri> ...)`` block whose axioms are drawn
-from the keywords in :data:`KEYWORDS`.  ``#`` starts a comment.  The parser
+lines followed by one ``Ontology(<iri> ...)`` block holding ``Declaration``
+axioms and the axioms whose keywords :data:`ontomap.model.AXIOM_KEYWORDS`
+lists.  ``#`` starts a comment.  The parser
 recovers at the next top-level axiom, so one file can report many errors.
 """
 
@@ -14,50 +15,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    AXIOM_KEYWORDS,
+    AXIOM_SLOTS,
     Axiom,
-    Characteristic,
-    ClassAssertion,
     ClassExpr,
-    DataPropertyAssertion,
-    DataPropertyDomain,
-    DataPropertyRange,
     DATATYPES,
-    DisjointClasses,
-    DisjointUnion,
     EntityKind,
-    EquivalentClasses,
-    InverseObjectProperties,
     KindMismatch,
     Label,
     Literal,
     Name,
-    ObjectPropertyAssertion,
-    ObjectPropertyDomain,
-    ObjectPropertyRange,
     Ontology,
-    PropertyCharacteristic,
-    SubClassOf,
-    SubObjectPropertyOf,
     UndeclaredEntity,
     UnionOf,
+    axiom_keyword,
     axiom_signature,
     check_reference,
 )
 
-CHARACTERISTIC_KEYWORDS = {
-    f"{c.value}ObjectProperty": c for c in Characteristic
-}
-
 DECLARATION_KINDS = {k.value: k for k in EntityKind}
-
-KEYWORDS = (
-    ["Declaration", "SubClassOf", "EquivalentClasses", "DisjointClasses",
-     "DisjointUnion", "ObjectPropertyDomain", "ObjectPropertyRange",
-     "DataPropertyDomain", "DataPropertyRange", "SubObjectPropertyOf",
-     "InverseObjectProperties", "ClassAssertion", "ObjectPropertyAssertion",
-     "DataPropertyAssertion", "AnnotationAssertion"]
-    + list(CHARACTERISTIC_KEYWORDS)
-)
 
 
 @dataclass(frozen=True)
@@ -246,24 +222,33 @@ class _Parser:
         self.references.append((name, kind, span))
         return name
 
+    def parse_class_names(self) -> list[Name]:
+        names = []
+        while self.peek().kind == "name":
+            names.append(self.parse_ref(EntityKind.CLASS, "class name"))
+        return names
+
+    def _distinct(self, names: list[Name], tok: _Token, what: str) -> tuple:
+        """``names`` as a tuple, or an arity error on ``tok`` unless at
+        least two of them are distinct."""
+        if len(set(names)) < 2:
+            self._diag("error", self._tok_span(tok), "arity",
+                       f"{tok.text} needs at least two distinct {what}")
+            raise _Halt()
+        return tuple(names)
+
     def parse_class_expr(self) -> ClassExpr:
         tok = self.peek()
         if tok.kind == "name" and tok.text == "ObjectUnionOf":
             self.next()
             self.expect("lparen", "'('")
-            members = []
-            while self.peek().kind == "name":
-                members.append(self.parse_ref(EntityKind.CLASS, "class name"))
+            members = self.parse_class_names()
             end = self.next()
             if end.kind != "rparen":
                 self._diag("error", self._tok_span(end), "syntax",
                            "expected ')' after ObjectUnionOf members")
                 raise _Halt()
-            if len(set(members)) < 2:
-                self._diag("error", self._tok_span(tok), "arity",
-                           "ObjectUnionOf needs at least two distinct classes")
-                raise _Halt()
-            return UnionOf(tuple(members))
+            return UnionOf(self._distinct(members, tok, "classes"))
         return self.parse_ref(EntityKind.CLASS, "class expression")
 
     def parse_literal(self) -> Literal:
@@ -272,12 +257,7 @@ class _Parser:
         datatype = "xsd:string"
         if self.peek().kind == "dcaret":
             self.next()
-            dt = self.expect("name", "datatype")
-            if dt.text not in DATATYPES:
-                self._diag("error", self._tok_span(dt), "datatype",
-                           f"unsupported datatype {dt.text!r}")
-                raise _Halt()
-            datatype = dt.text
+            datatype = self.parse_datatype()
         return Literal(lexical, datatype)
 
     def parse_datatype(self) -> str:
@@ -287,6 +267,22 @@ class _Parser:
                        f"unsupported datatype {tok.text!r}")
             raise _Halt()
         return tok.text
+
+    def parse_slot(self, slot, field: str, keyword_tok: _Token):
+        """Parse one argument slot (see :data:`ontomap.model.AXIOM_SLOTS`)
+        of the axiom that ``keyword_tok`` opened."""
+        if slot == "expr":
+            return self.parse_class_expr()
+        if slot == "classes":
+            return self._distinct(self.parse_class_names(), keyword_tok, field)
+        if slot == "literal":
+            return self.parse_literal()
+        if slot == "datatype":
+            return self.parse_datatype()
+        if slot == "text":
+            return self.parse_literal().lexical
+        kind, noun = slot
+        return self.parse_ref(kind, noun)
 
     # -- grammar --
 
@@ -344,34 +340,27 @@ class _Parser:
             self._diag("error", self._tok_span(tok), "syntax",
                        f"expected an axiom keyword, found {tok.text!r}")
             raise _Halt()
-        keyword = tok.text
-        if keyword == "Declaration":
+        if tok.text == "Declaration":
             self.parse_declaration()
             return
-        handler = {
-            "SubClassOf": self._ax_subclassof,
-            "EquivalentClasses": self._ax_equivalent,
-            "DisjointClasses": self._ax_disjoint,
-            "DisjointUnion": self._ax_disjoint_union,
-            "ObjectPropertyDomain": self._ax_obj_domain,
-            "ObjectPropertyRange": self._ax_obj_range,
-            "DataPropertyDomain": self._ax_data_domain,
-            "DataPropertyRange": self._ax_data_range,
-            "SubObjectPropertyOf": self._ax_subprop,
-            "InverseObjectProperties": self._ax_inverse,
-            "ClassAssertion": self._ax_class_assertion,
-            "ObjectPropertyAssertion": self._ax_obj_assertion,
-            "DataPropertyAssertion": self._ax_data_assertion,
-            "AnnotationAssertion": self._ax_annotation,
-        }.get(keyword)
-        if handler is None and keyword in CHARACTERISTIC_KEYWORDS:
-            handler = lambda t: self._ax_characteristic(t, CHARACTERISTIC_KEYWORDS[keyword])
-        if handler is None:
+        entry = AXIOM_KEYWORDS.get(tok.text)
+        if entry is None:
             self._diag("error", self._tok_span(tok), "unknown-keyword",
-                       f"unknown axiom keyword {keyword!r}")
+                       f"unknown axiom keyword {tok.text!r}")
             raise _Halt()
+        ax_type, fixed = entry
+        fields = dict(fixed)
         self.expect("lparen", "'('")
-        ax = handler(tok)
+        if ax_type is Label:
+            prop = self.expect("name", "annotation property")
+        for field, slot in AXIOM_SLOTS[ax_type]:
+            fields[field] = self.parse_slot(slot, field, tok)
+        ax = ax_type(**fields)
+        if ax_type is Label and prop.text != "rdfs:label":
+            # only labels feed the pipeline; other annotations are dropped
+            self._diag("warning", self._tok_span(prop), "annotation-dropped",
+                       f"annotation property {prop.text!r} is not preserved")
+            ax = None
         self._close_axiom(tok)
         if ax is not None and ax not in self._axiom_set:
             self.axioms.append(ax)
@@ -390,96 +379,6 @@ class _Parser:
         self.expect("rparen", "')'")
         self.expect("rparen", "')'")
         self.declarations.add((name, kind))
-
-    def _ax_subclassof(self, tok):
-        return SubClassOf(self.parse_class_expr(), self.parse_class_expr())
-
-    def _ax_equivalent(self, tok):
-        return EquivalentClasses(self.parse_class_expr(), self.parse_class_expr())
-
-    def _ax_disjoint(self, tok):
-        names = []
-        while self.peek().kind == "name":
-            names.append(self.parse_ref(EntityKind.CLASS, "class name"))
-        if len(set(names)) < 2:
-            self._diag("error", self._tok_span(tok), "arity",
-                       "DisjointClasses needs at least two distinct classes")
-            raise _Halt()
-        return DisjointClasses(tuple(names))
-
-    def _ax_disjoint_union(self, tok):
-        whole = self.parse_ref(EntityKind.CLASS, "class name")
-        parts = []
-        while self.peek().kind == "name":
-            parts.append(self.parse_ref(EntityKind.CLASS, "class name"))
-        if len(set(parts)) < 2:
-            self._diag("error", self._tok_span(tok), "arity",
-                       "DisjointUnion needs at least two distinct parts")
-            raise _Halt()
-        return DisjointUnion(whole, tuple(parts))
-
-    def _ax_obj_domain(self, tok):
-        return ObjectPropertyDomain(
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"),
-            self.parse_class_expr())
-
-    def _ax_obj_range(self, tok):
-        return ObjectPropertyRange(
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"),
-            self.parse_class_expr())
-
-    def _ax_data_domain(self, tok):
-        return DataPropertyDomain(
-            self.parse_ref(EntityKind.DATA_PROPERTY, "data property"),
-            self.parse_class_expr())
-
-    def _ax_data_range(self, tok):
-        return DataPropertyRange(
-            self.parse_ref(EntityKind.DATA_PROPERTY, "data property"),
-            self.parse_datatype())
-
-    def _ax_subprop(self, tok):
-        return SubObjectPropertyOf(
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"),
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"))
-
-    def _ax_inverse(self, tok):
-        return InverseObjectProperties(
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"),
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"))
-
-    def _ax_characteristic(self, tok, characteristic):
-        return PropertyCharacteristic(
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"),
-            characteristic)
-
-    def _ax_class_assertion(self, tok):
-        return ClassAssertion(
-            self.parse_class_expr(),
-            self.parse_ref(EntityKind.INDIVIDUAL, "individual"))
-
-    def _ax_obj_assertion(self, tok):
-        return ObjectPropertyAssertion(
-            self.parse_ref(EntityKind.OBJECT_PROPERTY, "object property"),
-            self.parse_ref(EntityKind.INDIVIDUAL, "individual"),
-            self.parse_ref(EntityKind.INDIVIDUAL, "individual"))
-
-    def _ax_data_assertion(self, tok):
-        return DataPropertyAssertion(
-            self.parse_ref(EntityKind.DATA_PROPERTY, "data property"),
-            self.parse_ref(EntityKind.INDIVIDUAL, "individual"),
-            self.parse_literal())
-
-    def _ax_annotation(self, tok):
-        prop = self.expect("name", "annotation property")
-        entity = self.parse_ref(None, "annotated entity")
-        value = self.parse_literal()
-        if prop.text != "rdfs:label":
-            # only labels feed the pipeline; other annotations are dropped
-            self._diag("warning", self._tok_span(prop), "annotation-dropped",
-                       f"annotation property {prop.text!r} is not preserved")
-            return None
-        return Label(entity, value.lexical)
 
     # -- finalization --
 
@@ -530,51 +429,25 @@ def _render_expr(expr: ClassExpr) -> str:
     return "ObjectUnionOf(" + " ".join(str(m) for m in expr.members) + ")"
 
 
-def _render_literal(lit: Literal) -> str:
-    s = f'"{_escape(lit.lexical)}"'
-    if lit.datatype != "xsd:string":
-        s += f"^^{lit.datatype}"
-    return s
+def _render_slot(value, slot) -> str:
+    if slot == "expr":
+        return _render_expr(value)
+    if slot == "classes":
+        return " ".join(map(str, value))
+    if slot == "literal":
+        suffix = "" if value.datatype == "xsd:string" else f"^^{value.datatype}"
+        return f'"{_escape(value.lexical)}"{suffix}'
+    if slot == "text":
+        return f'"{_escape(value)}"'
+    return str(value)  # a name or a datatype
 
 
 def render_axiom(ax: Axiom) -> str:
-    if isinstance(ax, SubClassOf):
-        return f"SubClassOf({_render_expr(ax.sub)} {_render_expr(ax.sup)})"
-    if isinstance(ax, EquivalentClasses):
-        return f"EquivalentClasses({_render_expr(ax.a)} {_render_expr(ax.b)})"
-    if isinstance(ax, DisjointClasses):
-        return "DisjointClasses(" + " ".join(map(str, ax.classes)) + ")"
-    if isinstance(ax, DisjointUnion):
-        return f"DisjointUnion({ax.whole} " + " ".join(map(str, ax.parts)) + ")"
-    if isinstance(ax, ObjectPropertyDomain):
-        return f"ObjectPropertyDomain({ax.prop} {_render_expr(ax.cls)})"
-    if isinstance(ax, ObjectPropertyRange):
-        return f"ObjectPropertyRange({ax.prop} {_render_expr(ax.cls)})"
-    if isinstance(ax, DataPropertyDomain):
-        return f"DataPropertyDomain({ax.prop} {_render_expr(ax.cls)})"
-    if isinstance(ax, DataPropertyRange):
-        return f"DataPropertyRange({ax.prop} {ax.datatype})"
-    if isinstance(ax, SubObjectPropertyOf):
-        return f"SubObjectPropertyOf({ax.sub} {ax.sup})"
-    if isinstance(ax, InverseObjectProperties):
-        return f"InverseObjectProperties({ax.a} {ax.b})"
-    if isinstance(ax, PropertyCharacteristic):
-        return f"{ax.characteristic.value}ObjectProperty({ax.prop})"
-    if isinstance(ax, ClassAssertion):
-        return f"ClassAssertion({_render_expr(ax.cls)} {ax.individual})"
-    if isinstance(ax, ObjectPropertyAssertion):
-        return f"ObjectPropertyAssertion({ax.prop} {ax.subject} {ax.object})"
-    if isinstance(ax, DataPropertyAssertion):
-        return f"DataPropertyAssertion({ax.prop} {ax.subject} {_render_literal(ax.value)})"
+    args = [_render_slot(getattr(ax, field), slot)
+            for field, slot in AXIOM_SLOTS[type(ax)]]
     if isinstance(ax, Label):
-        return f'AnnotationAssertion(rdfs:label {ax.entity} "{_escape(ax.text)}")'
-    raise TypeError(f"not an axiom: {ax!r}")
-
-
-def _axiom_sort_key(ax: Axiom):
-    line = render_axiom(ax)
-    keyword = line.split("(", 1)[0]
-    return (keyword, line)
+        args.insert(0, "rdfs:label")
+    return f"{axiom_keyword(ax)}({' '.join(args)})"
 
 
 def serialize(o: Ontology) -> str:
@@ -592,9 +465,8 @@ def serialize(o: Ontology) -> str:
     for name, kind in sorted(o.declarations,
                              key=lambda nk: (_KIND_ORDER[nk[1]], nk[0])):
         lines.append(f"Declaration({kind.value}({name}))")
-    logical = [ax for ax in o.axioms if not isinstance(ax, Label)]
-    for ax in sorted(logical, key=_axiom_sort_key):
-        lines.append(render_axiom(ax))
+    logical = [render_axiom(ax) for ax in o.axioms if not isinstance(ax, Label)]
+    lines.extend(sorted(logical, key=lambda line: (line.split("(", 1)[0], line)))
     annotations = [ax for ax in o.axioms if isinstance(ax, Label)]
     for ax in sorted(annotations, key=lambda a: (a.entity, a.text)):
         lines.append(render_axiom(ax))

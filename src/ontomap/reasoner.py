@@ -394,23 +394,12 @@ def classify(store: InferredStore) -> Taxonomy:
             a, b = rep[group_of[c]], rep[group_of[d]]
             if a != b:
                 edges[a].add(b)
-    # transitive reduction on the group DAG
-    def reachable(x, y):
-        stack, seen = [x], set()
-        while stack:
-            z = stack.pop()
-            if z == y:
-                return True
-            if z in seen:
-                continue
-            seen.add(z)
-            stack.extend(edges[z])
-        return False
-
+    # transitive reduction on the group DAG: Sub facts are closed under R1,
+    # so the edges are too, and b is indirect iff it is above another super
     direct = {}
     for a, sups in edges.items():
         direct[a] = {b for b in sups
-                     if not any(c != b and reachable(c, b) for c in sups)}
+                     if not any(b in edges[c] for c in sups)}
     direct_supers = {}
     direct_subs = {c: set() for c in classes}
     for c in classes:

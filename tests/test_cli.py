@@ -158,6 +158,43 @@ def test_lda_constrained_requires_ontology(corpus_path):
     assert code == 64 and "--ontology" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--k", "0"], ["--k", "two"], ["--iters", "0"], ["--top", "0"],
+    ["--alpha", "0"], ["--beta", "0"], ["--eta", "0.5"], ["--epsilon", "2"],
+    ["--seed", "-1"], ["--beta", "nan"], ["--bogus"],
+], ids=" ".join)
+def test_lda_bad_flag_is_usage_error_exit_64(corpus_path, flags):
+    code, out, err = run(["lda", corpus_path] + flags)
+    assert code == 64 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lda_json_lines_non_string_text_exit_2(tmp_path):
+    p = tmp_path / "corpus.jsonl"
+    p.write_text('{"id": 1, "text": "diet and exercise"}\n'
+                 '{"id": 2, "text": 5}\n', encoding="utf-8")
+    code, _, err = run(["lda", str(p), "--json-lines"])
+    assert code == 2
+    assert err == (f"error: malformed corpus {p}: "
+                   "line 2: text is not a string\n")
+
+
+def test_non_utf8_inputs_exit_2(fixture_path, tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"d1\t\xff\xfe obesity\n")
+    assert run(["validate", str(bad)])[0] == 2
+    assert run(["lda", str(bad)])[0] == 2
+    assert run(["tag", str(bad), "--ontology", str(fixture_path)])[0] == 2
+
+
+def test_tag_model_without_phi_exit_2(fixture_path, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text('{"topics": []}\n', encoding="utf-8")
+    code, _, err = run(["tag", str(model), "--ontology", str(fixture_path)])
+    assert code == 2
+    assert err == f"error: malformed model file {model}: 'phi'\n"
+
+
 def test_lda_empty_corpus_exit_5(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("d1\tof the and\n", encoding="utf-8")

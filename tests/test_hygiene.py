@@ -1,11 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every module-level definition of the package is loaded somewhere."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "ontomap"
+ROOT = pathlib.Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "ontomap"
 # the package's __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -26,3 +28,42 @@ def test_module_imports_no_unused_name(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert unused == [], f"{path.name} imports unused names: {unused}"
+
+
+def loaded_names(tree):
+    """Names read as variables, attributes or ``from`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name
+
+
+def module_level_names(tree):
+    """Functions, classes and constants defined at a module's top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id
+
+
+def test_every_module_level_definition_is_loaded():
+    loaded = set()
+    for folder in ("src", "tests", "demos", "scripts", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            loaded.update(loaded_names(ast.parse(path.read_text("utf-8"))))
+    unused = sorted(
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in module_level_names(ast.parse(path.read_text("utf-8")))
+        if name not in loaded and not name.startswith("__"))
+    assert unused == [], f"defined but never loaded: {unused}"

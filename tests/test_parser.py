@@ -173,9 +173,9 @@ def test_random_round_trip_small_batch():
 
 def test_slot_and_arity_diagnostics_pin_messages_and_spans():
     # one malformed axiom per line: every argument slot's "expected <noun>"
-    # message, the arity messages, and a dropped annotation whose warning
-    # comes before the arity error of the same axiom
-    result = parse_doc(
+    # message, the arity messages, a dropped annotation whose warning comes
+    # before the arity error of the same axiom, and a file cut off mid-axiom
+    result = ofn.parse(HEADER +
         "Declaration(Class(:A))\n"
         "Declaration(Class(:B))\n"
         "Declaration(ObjectProperty(:p))\n"
@@ -200,7 +200,8 @@ def test_slot_and_arity_diagnostics_pin_messages_and_spans():
         "SubClassOf(ObjectUnionOf(:A :A) :B)\n"
         'SubClassOf(ObjectUnionOf(:A "z") :B)\n'
         "SubClassOf(:A :B :A)\n"
-        'AnnotationAssertion(rdfs:comment :A "n" :B)')
+        'AnnotationAssertion(rdfs:comment :A "n" :B)\n'
+        "SubClassOf(:A")
     assert result.ontology is None
     assert [(str(d), d.span.length) for d in result.diagnostics] == [
         ("error:8:15:syntax:expected class expression, found '\"s\"'", 3),
@@ -230,13 +231,8 @@ def test_slot_and_arity_diagnostics_pin_messages_and_spans():
         ("warning:27:21:annotation-dropped:annotation property "
          "'rdfs:comment' is not preserved", 12),
         ("error:27:41:arity:too many arguments to AnnotationAssertion", 2),
-    ]
-
-
-def test_truncated_axiom_reports_end_of_file():
-    result = ofn.parse(HEADER + "Declaration(Class(:A))\nSubClassOf(:A")
-    assert [(str(d), d.span.length) for d in result.diagnostics] == [
-        ("error:4:14:syntax:expected class expression, found 'end of file'",
+        ("error:28:14:syntax:expected class expression, found 'end of file'",
          0),
-        ("error:4:14:unterminated:unterminated Ontology(...) block", 0),
+        ("error:28:14:unterminated:unterminated Ontology(...) block", 0),
     ]
+

@@ -112,6 +112,30 @@ def test_classify_transitive_reduction(fixture_store):
     assert N("MedicalCondition") not in supers  # indirect, reduced away
 
 
+def test_classify_matches_brute_force_reduction_of_naive_closure():
+    for seed in range(200):
+        o = random_reasoner_ontology(random.Random(seed))
+        tax = classify(saturate(o))
+        below = {(f.sub, f.sup) for f in naive_closure(o) if isinstance(f, Sub)}
+        classes = sorted(o.names_of_kind(EntityKind.CLASS))
+
+        def strictly_below(a, b):
+            return (a, b) in below and (b, a) not in below
+
+        for c in classes:
+            expected = {d for d in classes
+                        if strictly_below(c, d)
+                        and not any(strictly_below(c, e)
+                                    and strictly_below(e, d)
+                                    for e in classes)}
+            assert tax.direct_supers[c] == expected, (seed, c)
+        groups = {frozenset({c} | {d for d in classes if (c, d) in below
+                                   and (d, c) in below})
+                  for c in classes}
+        assert set(tax.merged_groups) == {g for g in groups if len(g) > 1}, \
+            seed
+
+
 # --- rule-by-rule unit checks -----------------------------------------------
 
 
