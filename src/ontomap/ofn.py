@@ -3,8 +3,8 @@
 The format is a fixed subset of OWL 2 functional-style syntax: ``Prefix``
 lines followed by one ``Ontology(<iri> ...)`` block holding ``Declaration``
 axioms and the axioms whose keywords :data:`ontomap.model.AXIOM_KEYWORDS`
-lists.  ``#`` starts a comment.  The parser
-recovers at the next top-level axiom, so one file can report many errors.
+lists.  ``#`` starts a comment.  The parser recovers at the next top-level
+axiom, so one file can report many errors.
 """
 
 from __future__ import annotations
