@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -195,3 +196,37 @@ def test_purity_on_small_planted_corpus():
     c, labels = planted_two_topics(n_docs=60, doc_len=16, seed=4)
     state = lda_gibbs(c, K=2, alpha=1.0, beta=0.01, iters=150, seed=4)
     assert topic_purity(state, labels) >= 0.9
+
+
+def _state_digest(state, corpus):
+    fields = (state.z, state.n_kw, state.q, state.n_comp, state.n_region,
+              phi_matrix(state), repr(log_likelihood(state, corpus)))
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("K, digest", [
+    (1, "53a87f3767177c3d81b018a05df92f66fe4ac6676d38ea1692e59ecf7116ed22"),
+    (2, "70f494ee5027ea4b81d53b0809a26c9fdbd4c4f1c92b320f411900440185ef85"),
+    (20, "50b2ad4aa34149f36c609c3e0be8d3b3668f7db6c17da1d1e8e81b159efced64"),
+])
+def test_lda_state_pinned(K, digest):
+    # pins the PCG64 stream consumption and every float of the flat sampler
+    c, _ = planted_two_topics(n_docs=12, doc_len=10, seed=3)
+    state = lda_gibbs(c, K=K, alpha=0.5, beta=0.05, iters=15, seed=11)
+    assert _state_digest(state, c) == digest
+
+
+@pytest.mark.parametrize("K, digest", [
+    (2, "a74d96f1048bba6375720a490a61c3cd2444ac249d4f655d017697749d2fbf4c"),
+    (3, "3d22e83a1c48f75027141f8b12c23649f2ff8f5010a638ef5e2fe515768d1e2c"),
+])
+def test_dflda_state_pinned(K, digest):
+    # a free must-link {6, 7}; region 0 holds the must-link {0, 1, 2} and
+    # two singletons with two branches; region 1 has two singleton branches
+    c, _ = planted_two_topics(n_docs=12, doc_len=10, seed=3)
+    forest = build_forest(cs(must=[(0, 1), (1, 2), (6, 7)],
+                             cannot=[(0, 12), (12, 13), (5, 20)]),
+                          c.vocabulary, beta=0.05, eta=50.0, epsilon=0.01)
+    assert [len(r.cliques) for r in forest.regions] == [2, 2]
+    state = dflda_gibbs(c, forest, K=K, alpha=0.5, iters=15, seed=11)
+    assert _state_digest(state, c) == digest
