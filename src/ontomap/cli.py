@@ -8,8 +8,8 @@ Exit codes are a stable contract:
   4  empty concept graph
   5  corpus empty after filtering
   6  constraint regions exceed the branch budget
-  64 usage error: a malformed or out-of-range flag, or ``--constrained``
-     without ``--ontology``
+  64 usage error: a malformed or out-of-range flag, ``--constrained``
+     without ``--ontology``, or hyperparameters the sampler rejects
 
 Diagnostics print to standard error one per line as
 ``severity:line:col:code:message``.  Violations print one per line as
@@ -138,16 +138,10 @@ def cmd_graph(args, stdout, stderr) -> int:
     store = reasoner.saturate(o)
     g = graphmap.build_concept_graph(store,
                                      include_individuals=args.individuals)
-    partition = None
-    if args.cluster:
-        try:
-            partition = graphmap.cluster(g, seed=args.seed)
-        except graphmap.EmptyGraph as exc:
-            print(f"error: {exc}", file=stderr)
-            return 4
-    elif not g.nodes:
+    if not g.nodes:
         print("error: concept graph is empty", file=stderr)
         return 4
+    partition = graphmap.cluster(g, seed=args.seed) if args.cluster else None
     payload = graphmap.export(g, partition, args.format)
     return _write_bytes(args.out, payload, stderr, stdout)
 
@@ -163,11 +157,7 @@ def _read_corpus(args, stderr):
         print(f"error: malformed corpus {args.corpus}: {exc}", file=stderr)
         return None, 2
     cfg = corpus_mod.IngestConfig(min_df=args.min_df)
-    try:
-        return corpus_mod.ingest_corpus(records, cfg), 0
-    except corpus_mod.EmptyCorpus as exc:
-        print(f"error: {exc}", file=stderr)
-        return None, 5
+    return corpus_mod.ingest_corpus(records, cfg), 0
 
 
 def _model_payload(state, corpus, lexicon, args, constrained):
@@ -207,22 +197,16 @@ def cmd_lda(args, stdout, stderr) -> int:
             return code
         lexicon = build_lexicon(o, corpus_mod.DEFAULT_STOPWORDS)
     alpha = args.alpha if args.alpha is not None else 50.0 / args.k
-    try:
-        if args.constrained:
-            cs = constraints_mod.derive_constraints(o, lexicon,
-                                                    corpus.vocabulary)
-            df = forest_mod.build_forest(cs, corpus.vocabulary,
-                                         beta=args.beta, eta=args.eta,
-                                         epsilon=args.epsilon)
-            state = gibbs_mod.dflda_gibbs(corpus, df, K=args.k, alpha=alpha,
-                                          iters=args.iters, seed=args.seed)
-        else:
-            state = gibbs_mod.lda_gibbs(corpus, K=args.k, alpha=alpha,
-                                        beta=args.beta, iters=args.iters,
-                                        seed=args.seed)
-    except forest_mod.TooManyCliques as exc:
-        print(f"error: {exc}", file=stderr)
-        return 6
+    if args.constrained:
+        cs = constraints_mod.derive_constraints(o, lexicon, corpus.vocabulary)
+        df = forest_mod.build_forest(cs, corpus.vocabulary, beta=args.beta,
+                                     eta=args.eta, epsilon=args.epsilon)
+        state = gibbs_mod.dflda_gibbs(corpus, df, K=args.k, alpha=alpha,
+                                      iters=args.iters, seed=args.seed)
+    else:
+        state = gibbs_mod.lda_gibbs(corpus, K=args.k, alpha=alpha,
+                                    beta=args.beta, iters=args.iters,
+                                    seed=args.seed)
     payload = _model_payload(state, corpus, lexicon, args, args.constrained)
     return _write_bytes(args.out, _json_bytes(payload), stderr, stdout)
 
@@ -232,6 +216,13 @@ def cmd_tag(args, stdout, stderr) -> int:
         with open(args.model, encoding="utf-8") as fh:
             model = json.load(fh)
         phi, vocabulary = model["phi"], model["vocabulary"]
+        if not (isinstance(vocabulary, list)
+                and all(isinstance(w, str) for w in vocabulary)):
+            raise ValueError("vocabulary is not a list of strings")
+        for k, row in enumerate(phi):
+            if not (isinstance(row, list) and len(row) == len(vocabulary)
+                    and all(isinstance(p, float) for p in row)):
+                raise ValueError(f"phi row {k} is not one float per word")
     except OSError as exc:
         print(f"error: cannot read {args.model}: {exc}", file=stderr)
         return 2
@@ -343,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit codes of the domain failures; any other exception is a bug
+_EXIT_CODES = {corpus_mod.EmptyCorpus: 5, forest_mod.TooManyCliques: 6,
+               gibbs_mod.InvalidHyperparameter: 64}
+
+
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -351,7 +347,11 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=stderr)
         return 64
-    return args.func(args, stdout, stderr)
+    try:
+        return args.func(args, stdout, stderr)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=stderr)
+        return _EXIT_CODES[type(exc)]
 
 
 def entrypoint():

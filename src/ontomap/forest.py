@@ -68,14 +68,13 @@ class SamplingIndex:
         self.eta_beta = eta * beta
         self.eps_beta = eps * beta
         self.comp_size = [len(c) for c in forest.components]
-        # word -> ("free",) | ("ml", comp) | ("region", r, comp)
-        self.role = [("free",)] * forest.vocab_size
-        self.region_of_comp = {m: r for r, region in enumerate(forest.regions)
-                               for m in region.component_ids}
-        for m, comp in enumerate(forest.components):
-            r = self.region_of_comp.get(m)
-            for w in comp:
-                self.role[w] = ("ml", m) if r is None else ("region", r, m)
+        # per word: component and region id, -1 for none
+        comp_of = forest.component_of()
+        self.comp_of = [comp_of.get(w, -1) for w in range(forest.vocab_size)]
+        self.region_of = [-1] * forest.vocab_size
+        for r, region in enumerate(forest.regions):
+            for w in region.words:
+                self.region_of[w] = r
         # per region: root edge weight (constant across branches) and per
         # branch the gamma total of the branch root's children
         self.region_gamma = [beta * len(reg.words) for reg in forest.regions]

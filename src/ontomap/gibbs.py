@@ -4,7 +4,10 @@ Both samplers share one kernel so that with a flat forest (no constraints)
 they consume randomness identically and produce bit-identical assignments.
 The RNG is numpy's PCG64 (a permuted-congruential generator); the seed fully
 determines every assignment and branch choice.  Changing the generator is a
-breaking change.
+breaking change.  For n corpus tokens, one ``integers(K, size=n)`` draws
+the initial topics and one ``random(n)`` per sweep draws its uniforms, the
+same PCG64 stream as one call per token (``tests/test_gibbs.py`` pins it);
+each sweep's branch draws follow its token loop.
 
 Token step: p(z_i = k) is proportional to (alpha + n_dk) times the product,
 over internal nodes on the root-to-leaf path of the word in topic k's
@@ -16,14 +19,16 @@ multinomial marginal of the region's counts under each candidate branch.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import lgamma, exp
+from itertools import accumulate, islice
+from math import exp, inf, lgamma
 from typing import Optional
 
 import numpy as np
 
 from .corpus import Corpus
-from .forest import DirichletForest
+from .forest import DirichletForest, flat_forest
 
 
 class InvalidHyperparameter(Exception):
@@ -55,9 +60,20 @@ def _validate(corpus: Corpus, K, alpha, beta, iters):
     if K < 1:
         raise InvalidHyperparameter("K must be >= 1")
     if alpha <= 0 or beta <= 0:
-        raise InvalidHyperparameter("alpha and beta must be positive")
+        raise InvalidHyperparameter(
+            "alpha, beta and epsilon * beta must be positive")
     if iters < 1:
         raise InvalidHyperparameter("iters must be >= 1")
+    # the largest lgamma arguments of log_likelihood
+    n_tokens = sum(len(doc) for doc in corpus.documents)
+    for x in (K * alpha, len(corpus.vocabulary) * beta):
+        try:
+            if lgamma(x + n_tokens) < inf:
+                continue
+        except OverflowError:
+            pass
+        raise InvalidHyperparameter(
+            "alpha, beta or eta too large: the log-likelihood overflows")
 
 
 def lda_gibbs(corpus: Corpus, K: int, alpha: float, beta: float,
@@ -70,7 +86,9 @@ def lda_gibbs(corpus: Corpus, K: int, alpha: float, beta: float,
 def dflda_gibbs(corpus: Corpus, forest: DirichletForest, K: int, alpha: float,
                 iters: int, seed: int) -> TopicModelState:
     """Dirichlet-forest collapsed Gibbs; beta comes from the forest."""
-    _validate(corpus, K, alpha, forest.beta, iters)
+    # the smallest and the largest word weight of the forest
+    for weight in (forest.epsilon * forest.beta, forest.eta * forest.beta):
+        _validate(corpus, K, alpha, weight, iters)
     if forest.vocab_size != len(corpus.vocabulary):
         raise ForestVocabMismatch(
             f"forest built for {forest.vocab_size} words, corpus has "
@@ -84,91 +102,84 @@ def dflda_gibbs(corpus: Corpus, forest: DirichletForest, K: int, alpha: float,
     return _run(corpus, forest, K, alpha, forest.beta, iters, seed)
 
 
+def _pick(cumulative, u):
+    """Index of the first cumulative weight above ``u``, else the last."""
+    return min(bisect_right(cumulative, u), len(cumulative) - 1)
+
+
 def _run(corpus, forest, K, alpha, beta, iters, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     V = len(corpus.vocabulary)
     docs = corpus.documents
-    D = len(docs)
-    tree = forest.sampling_index if forest is not None else None
-    n_regions = len(forest.regions) if forest is not None else 0
-    n_comps = len(forest.components) if forest is not None else 0
+    n_tokens = sum(len(doc) for doc in docs)
+    # a flat index maps every word to component and region -1
+    tree = (forest or flat_forest(V, beta)).sampling_index
+    comp_of, region_of = tree.comp_of, tree.region_of
+    n_regions = len(tree.region_gamma)
+    vbeta = V * beta
+    weights = [0.0] * K
 
-    z = [[0] * len(doc) for doc in docs]
-    n_dk = [[0] * K for _ in range(D)]
+    init = iter(rng.integers(K, size=n_tokens).tolist())
+    z = [list(islice(init, len(doc))) for doc in docs]
+    n_dk = [[0] * K for _ in docs]
     n_kw = [[0] * V for _ in range(K)]
     n_k = [0] * K
-    n_comp = [[0] * n_comps for _ in range(K)]
+    n_comp = [[0] * len(tree.comp_size) for _ in range(K)]
     n_region = [[0] * n_regions for _ in range(K)]
     q = [[0] * n_regions for _ in range(K)]
 
     for d, doc in enumerate(docs):
-        zd = z[d]
-        for i, w in enumerate(doc):
-            k = int(rng.integers(K))
-            zd[i] = k
-            n_dk[d][k] += 1
+        ndk = n_dk[d]
+        for w, k in zip(doc, z[d]):
+            m, r = comp_of[w], region_of[w]
+            ndk[k] += 1
             n_kw[k][w] += 1
             n_k[k] += 1
-            if tree is not None:
-                role = tree.role[w]
-                if role[0] == "ml":
-                    n_comp[k][role[1]] += 1
-                elif role[0] == "region":
-                    n_comp[k][role[2]] += 1
-                    n_region[k][role[1]] += 1
-
-    vbeta = V * beta
-    weights = [0.0] * K
+            if m >= 0:
+                n_comp[k][m] += 1
+            if r >= 0:
+                n_region[k][r] += 1
 
     for _ in range(iters):
+        # zip reads ``doc`` first, so each document takes exactly its own
+        # tokens' uniforms, in token order
+        uniforms = iter(rng.random(n_tokens).tolist())
         for d, doc in enumerate(docs):
-            zd = z[d]
-            ndk = n_dk[d]
-            for i, w in enumerate(doc):
+            zd, ndk = z[d], n_dk[d]
+            for i, (w, u) in enumerate(zip(doc, uniforms)):
+                m, r = comp_of[w], region_of[w]
                 k_old = zd[i]
                 ndk[k_old] -= 1
                 n_kw[k_old][w] -= 1
                 n_k[k_old] -= 1
-                if tree is None:
-                    total = 0.0
+                if m >= 0:
+                    n_comp[k_old][m] -= 1
+                if r >= 0:
+                    n_region[k_old][r] -= 1
+                total = 0.0
+                if forest is None:
                     for k in range(K):
                         total += (alpha + ndk[k]) * (beta + n_kw[k][w]) \
                             / (vbeta + n_k[k])
                         weights[k] = total
                 else:
-                    role = tree.role[w]
-                    if role[0] == "ml":
-                        n_comp[k_old][role[1]] -= 1
-                    elif role[0] == "region":
-                        n_comp[k_old][role[2]] -= 1
-                        n_region[k_old][role[1]] -= 1
-                    total = 0.0
                     for k in range(K):
                         total += (alpha + ndk[k]) * _path_prob(
-                            tree, role, w, beta, vbeta,
+                            tree, w, m, r, beta, vbeta,
                             n_kw[k], n_k[k], n_comp[k], n_region[k], q[k])
                         weights[k] = total
-                u = rng.random() * total
-                k_new = K - 1
-                for k in range(K):
-                    if u < weights[k]:
-                        k_new = k
-                        break
+                k_new = _pick(weights, u * total)
                 zd[i] = k_new
                 ndk[k_new] += 1
                 n_kw[k_new][w] += 1
                 n_k[k_new] += 1
-                if tree is not None:
-                    if role[0] == "ml":
-                        n_comp[k_new][role[1]] += 1
-                    elif role[0] == "region":
-                        n_comp[k_new][role[2]] += 1
-                        n_region[k_new][role[1]] += 1
-        if tree is not None:
-            for k in range(K):
-                for r in range(n_regions):
-                    q[k][r] = _sample_branch(forest, r, n_kw[k], n_comp[k],
-                                             rng)
+                if m >= 0:
+                    n_comp[k_new][m] += 1
+                if r >= 0:
+                    n_region[k_new][r] += 1
+        for k in range(K):
+            for r in range(n_regions):
+                q[k][r] = _sample_branch(forest, r, n_kw[k], n_comp[k], rng)
 
     return TopicModelState(
         K=K, alpha=alpha, beta=beta, z=z, n_dk=n_dk, n_kw=n_kw, n_k=n_k,
@@ -178,18 +189,16 @@ def _run(corpus, forest, K, alpha, beta, iters, seed):
         n_region=n_region if forest is not None else None)
 
 
-def _path_prob(tree, role, w, beta, vbeta, nkw, nk, ncomp, nregion, qk):
+def _path_prob(tree, w, m, r, beta, vbeta, nkw, nk, ncomp, nregion, qk):
     """Posterior word weight for one topic: product along the tree path."""
     root_den = vbeta + nk
-    if role[0] == "free":
+    if m < 0:
         return (beta + nkw[w]) / root_den
-    if role[0] == "ml":
-        m = role[1]
+    if r < 0:
         size = tree.comp_size[m]
         return ((size * beta + ncomp[m]) / root_den
                 * (tree.eta_beta + nkw[w])
                 / (size * tree.eta_beta + ncomp[m]))
-    r, m = role[1], role[2]
     p = (tree.region_gamma[r] + nregion[r]) / root_den
     j = qk[r]
     den = tree.branch_gamma[r][j] + nregion[r]
@@ -201,6 +210,16 @@ def _path_prob(tree, role, w, beta, vbeta, nkw, nk, ncomp, nregion, qk):
                 * (tree.eta_beta + nkw[w])
                 / (size * tree.eta_beta + ncomp[m]))
     return p * (tree.eps_beta + nkw[w]) / den
+
+
+def _must_link_node(score, gamma, comp, nkw):
+    """``score`` plus the log marginal of a must-link node's leaves."""
+    sub_gamma = sub_n = 0.0
+    for w in comp:
+        score += lgamma(gamma + nkw[w]) - lgamma(gamma)
+        sub_gamma += gamma
+        sub_n += nkw[w]
+    return score + (lgamma(sub_gamma) - lgamma(sub_gamma + sub_n))
 
 
 def _branch_log_score(forest, r, j, nkw, ncomp):
@@ -221,14 +240,7 @@ def _branch_log_score(forest, r, j, nkw, ncomp):
             gamma_sum += g
             n_sum += n
             if len(comp) > 1:
-                # internal must-link node below the branch root
-                gsub = tree.eta_beta
-                sub_gamma = sub_n = 0.0
-                for w in comp:
-                    score += lgamma(gsub + nkw[w]) - lgamma(gsub)
-                    sub_gamma += gsub
-                    sub_n += nkw[w]
-                score += lgamma(sub_gamma) - lgamma(sub_gamma + sub_n)
+                score = _must_link_node(score, tree.eta_beta, comp, nkw)
         else:
             for w in comp:
                 g = tree.eps_beta
@@ -248,14 +260,8 @@ def _sample_branch(forest, r, nkw, ncomp, rng):
               for j in range(len(cliques))]
     mx = max(scores)
     probs = [exp(s - mx) for s in scores]
-    total = sum(probs)
-    u = rng.random() * total
-    acc = 0.0
-    for j, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return j
-    return len(cliques) - 1
+    # sum(), not the last cumulative sum: it compensates on Python >= 3.12
+    return _pick(list(accumulate(probs)), rng.random() * sum(probs))
 
 
 def sample_branch(forest: DirichletForest, region: int, topic_word_counts,
@@ -279,8 +285,8 @@ def phi_matrix(state: TopicModelState):
         return [[(beta + state.n_kw[k][w]) / (vbeta + state.n_k[k])
                  for w in range(V)] for k in range(state.K)]
     tree = forest.sampling_index
-    return [[_path_prob(tree, tree.role[w], w, beta, vbeta,
-                        state.n_kw[k], state.n_k[k], state.n_comp[k],
+    return [[_path_prob(tree, w, tree.comp_of[w], tree.region_of[w], beta,
+                        vbeta, state.n_kw[k], state.n_k[k], state.n_comp[k],
                         state.n_region[k], state.q[k])
              for w in range(V)] for k in range(state.K)]
 
@@ -362,24 +368,18 @@ def _tree_log_marginal(forest, state, k, beta, V):
     gamma_sum = n_sum = 0.0
     score = 0.0
     for w in range(V):
-        if tree.role[w][0] == "free":
+        if tree.comp_of[w] < 0:
             score += lgamma(beta + nkw[w]) - lgamma(beta)
             gamma_sum += beta
             n_sum += nkw[w]
     for m, comp in enumerate(forest.components):
-        if m in tree.region_of_comp:
+        if tree.region_of[comp[0]] >= 0:
             continue
         g = len(comp) * beta
         score += lgamma(g + ncomp[m]) - lgamma(g)
         gamma_sum += g
         n_sum += ncomp[m]
-        # must-link node
-        sub_gamma = sub_n = 0.0
-        for w in comp:
-            score += lgamma(tree.eta_beta + nkw[w]) - lgamma(tree.eta_beta)
-            sub_gamma += tree.eta_beta
-            sub_n += nkw[w]
-        score += lgamma(sub_gamma) - lgamma(sub_gamma + sub_n)
+        score = _must_link_node(score, tree.eta_beta, comp, nkw)
     for r in range(len(forest.regions)):
         g = tree.region_gamma[r]
         score += lgamma(g + nregion[r]) - lgamma(g)

@@ -162,9 +162,14 @@ def test_lda_constrained_requires_ontology(corpus_path):
     ["--k", "0"], ["--k", "two"], ["--iters", "0"], ["--top", "0"],
     ["--alpha", "0"], ["--beta", "0"], ["--eta", "0.5"], ["--epsilon", "2"],
     ["--seed", "-1"], ["--beta", "nan"], ["--bogus"],
+    ["--alpha", "1e308"], ["--beta", "1e306"],
+    ["--constrained", "--eta", "1e308"],
+    ["--constrained", "--beta", "1e-320"],
 ], ids=" ".join)
-def test_lda_bad_flag_is_usage_error_exit_64(corpus_path, flags):
-    code, out, err = run(["lda", corpus_path] + flags)
+def test_lda_bad_flag_is_usage_error_exit_64(corpus_path, fixture_path,
+                                             flags):
+    code, out, err = run(["lda", corpus_path, "--iters", "1",
+                          "--ontology", str(fixture_path)] + flags)
     assert code == 64 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -193,6 +198,23 @@ def test_tag_model_without_phi_exit_2(fixture_path, tmp_path):
     code, _, err = run(["tag", str(model), "--ontology", str(fixture_path)])
     assert code == 2
     assert err == f"error: malformed model file {model}: 'phi'\n"
+
+
+@pytest.mark.parametrize("model, message", [
+    ('{"phi": [[0.5]], "vocabulary": []}',
+     "phi row 0 is not one float per word"),
+    ('{"phi": [[0.5], ["x"]], "vocabulary": ["a"]}',
+     "phi row 1 is not one float per word"),
+    ('{"phi": [[0.5]], "vocabulary": [["a"]]}',
+     "vocabulary is not a list of strings"),
+], ids=["short-row", "string-entry", "list-word"])
+def test_tag_model_phi_not_matching_vocabulary_exit_2(fixture_path, tmp_path,
+                                                      model, message):
+    path = tmp_path / "model.json"
+    path.write_text(model, encoding="utf-8")
+    code, _, err = run(["tag", str(path), "--ontology", str(fixture_path)])
+    assert code == 2
+    assert err == f"error: malformed model file {path}: {message}\n"
 
 
 def test_lda_empty_corpus_exit_5(tmp_path):

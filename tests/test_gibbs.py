@@ -44,6 +44,18 @@ def test_hyperparameter_validation():
         lda_gibbs(c, K=2, alpha=1.0, beta=0.0, iters=10, seed=1)
     with pytest.raises(InvalidHyperparameter):
         lda_gibbs(c, K=2, alpha=1.0, beta=0.01, iters=0, seed=1)
+    # the log-likelihood's lgamma terms would overflow
+    with pytest.raises(InvalidHyperparameter):
+        lda_gibbs(c, K=2, alpha=1e308, beta=0.01, iters=10, seed=1)
+    with pytest.raises(InvalidHyperparameter):
+        lda_gibbs(c, K=2, alpha=1.0, beta=1e306, iters=10, seed=1)
+    for eta, beta in ((1e308, 0.01), (100.0, 1e-320)):
+        # eta * beta overflows; epsilon * beta underflows to 0
+        forest = build_forest(cs(must=[(0, 1)], cannot=[(0, 2)]),
+                              ("a", "b", "c"), beta=beta, eta=eta)
+        with pytest.raises(InvalidHyperparameter):
+            dflda_gibbs(corpus_of([[0, 1, 2]]), forest, K=2, alpha=1.0,
+                        iters=10, seed=1)
 
 
 def test_forest_vocab_mismatch():
