@@ -1,3 +1,7 @@
+import hashlib
+import random
+from itertools import combinations
+
 import pytest
 
 from ontomap.constraints import ConstraintSet
@@ -89,3 +93,42 @@ def test_maximal_cliques_deterministic():
 
 def test_maximal_cliques_empty_graph_gives_singletons():
     assert maximal_cliques(3, set()) == [(0,), (1,), (2,)]
+
+
+def test_maximal_cliques_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(3)
+    for _ in range(200):
+        n = rnd.randint(1, 12)
+        edges = {e for e in combinations(range(n), 2) if rnd.random() < 0.5}
+        g = nx.Graph(edges)
+        g.add_nodes_from(range(n))
+        want = sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
+        assert maximal_cliques(n, edges) == want
+
+
+def _random_constraints(rnd):
+    n = rnd.randint(2, 14)
+    pairs = list(combinations(range(n), 2))
+    must = rnd.sample(pairs, rnd.randint(0, min(4, len(pairs))))
+    cannot = rnd.sample(pairs, rnd.randint(0, min(8, len(pairs))))
+    return n, cs(sorted(must), sorted(cannot))
+
+
+def test_build_forest_pinned():
+    # components, regions and the sampling index over random constraint
+    # sets; conflicts and over-budget regions pin their message instead
+    rnd = random.Random(5)
+    out = []
+    for _ in range(300):
+        n, constraints = _random_constraints(rnd)
+        try:
+            f = build_forest(constraints, tuple(f"w{i}" for i in range(n)),
+                             max_cliques=4)
+        except (ConflictingConstraints, TooManyCliques) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        index = f.sampling_index
+        out.append((f.components, f.regions, index.comp_of, index.region_of))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b5e6e977061b7f2f670ef53569985edbc0dd738cbd48d03eb5de33b7cb695885")

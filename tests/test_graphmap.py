@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -117,6 +118,31 @@ def test_modularity_agrees_with_pairwise_oracle():
 # --- louvain ------------------------------------------------------------------
 
 
+def test_modularity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rnd = random.Random(41)
+    for _ in range(100):
+        adj = random_graph(rnd, max_n=20)
+        names = {u: f"n{u:02d}" for u in adj}
+        edges = [(u, v, w) for u in adj for v, w in adj[u].items() if u <= v]
+        g = ConceptGraph(
+            nodes=tuple(GraphNode(N(names[u]), "class", "") for u in adj),
+            edges=tuple(GraphEdge(N(names[u]), N(names[v]), "subclass", w)
+                        for u, v, w in edges))
+        k = rnd.randint(1, 4)
+        assignment = {N(names[u]): rnd.randrange(k) for u in adj}
+        nxg = nx.Graph()
+        nxg.add_nodes_from(adj)
+        nxg.add_weighted_edges_from(edges)
+        if nxg.size(weight="weight") == 0:
+            continue  # networkx divides by the total weight
+        communities = [{u for u in adj if assignment[N(names[u])] == c}
+                       for c in range(k)]
+        want = nx.community.modularity(nxg, [c for c in communities if c])
+        got = modularity(g, Partition(assignment, seed=0))
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def bridge_adj():
     edges = triangle("x") + triangle("y") + [("xa", "ya")]
     adj = {}
@@ -145,6 +171,17 @@ def test_louvain_deterministic_and_monotone():
         a2, h2 = louvain(adj, seed=42)
         assert a1 == a2 and h1 == h2
         assert all(b >= a - 1e-12 for a, b in zip(h1, h1[1:]))
+
+
+def test_louvain_pinned():
+    # assignments and per-phase modularities, bit for bit
+    rnd = random.Random(29)
+    out = []
+    for seed in range(60):
+        assignment, history = louvain(random_graph(rnd, max_n=40), seed=seed)
+        out.append((sorted(assignment.items()), repr(history)))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "dd42f13145c819f1e0b21d99f22e5095d2b05026f8718b9e86cdf382949a5eca")
 
 
 def test_single_node():
