@@ -37,8 +37,9 @@ def _pair(a: int, b: int):
     return (a, b) if a < b else (b, a)
 
 
-def _must_closure(pairs, n_words):
-    parent = list(range(n_words))
+def _union_find(pairs, n):
+    """Union the pairs over ids 0..n-1; ``find`` returns a set's least id."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -103,7 +104,7 @@ def derive_constraints(o: Ontology, lexicon: dict, vocabulary) -> ConstraintSet:
                         cannot.setdefault(_pair(a, b), []).append(f"{c}|{d}")
 
     # cannot-links bridged by the must-link closure are pruned
-    find = _must_closure(must, len(vocabulary))
+    find = _union_find(must, len(vocabulary))
     kept_cannot = {}
     for pair, sources in cannot.items():
         if pair in must:
@@ -151,9 +152,8 @@ def constraints_from_json(text: str, vocabulary) -> ConstraintSet:
                    if a in index and b in index})
     cannot = sorted({_pair(index[a], index[b]) for a, b in payload.get("cannot", [])
                      if a in index and b in index})
-    find = _must_closure(must, len(vocabulary))
-    cannot = [p for p in cannot
-              if p not in set(must) and find(p[0]) != find(p[1])]
+    find = _union_find(must, len(vocabulary))
+    cannot = [p for p in cannot if find(p[0]) != find(p[1])]
     return ConstraintSet(
         must_links=tuple(must),
         cannot_links=tuple(cannot),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .constraints import ConstraintSet, _must_closure
+from .constraints import ConstraintSet, _union_find
 
 
 class TooManyCliques(Exception):
@@ -130,79 +130,60 @@ def build_forest(cs: ConstraintSet, vocabulary, beta: float = 0.01,
     n_words = len(vocabulary)
 
     # (1) must-link closure components
-    find = _must_closure(cs.must_links, n_words)
+    find = _union_find(cs.must_links, n_words)
     members: dict = {}
     for w in range(n_words):
         members.setdefault(find(w), []).append(w)
-    comp_words = sorted(tuple(ws) for ws in members.values() if len(ws) > 1)
-    comp_of_word = {}
-    for i, comp in enumerate(comp_words):
+    components = sorted(tuple(ws) for ws in members.values() if len(ws) > 1)
+
+    # (2) cannot-link graph over units: a word's unit is the index of its
+    # multi-word component, else n_comps + w, so units order like the
+    # components followed by the lone words
+    n_comps = len(components)
+    unit = list(range(n_comps, n_comps + n_words))
+    for i, comp in enumerate(components):
         for w in comp:
-            comp_of_word[w] = i
-
-    # (2) cannot-link graph over components (singletons materialized lazily)
-    def comp_key(w):
-        return ("m", comp_of_word[w]) if w in comp_of_word else ("s", w)
-
+            unit[w] = i
     cl_edges = set()
     for a, b in cs.cannot_links:
-        ka, kb = comp_key(a), comp_key(b)
-        if ka == kb:
+        ua, ub = unit[a], unit[b]
+        if ua == ub:
             raise ConflictingConstraints(
                 f"cannot-link inside a must-link component: "
                 f"{vocabulary[a]}/{vocabulary[b]}")
-        cl_edges.add(tuple(sorted((ka, kb))))
+        cl_edges.add((min(ua, ub), max(ua, ub)))
 
-    # connected components of the cannot-link graph = regions
-    nbrs: dict = {}
-    for ka, kb in cl_edges:
-        nbrs.setdefault(ka, set()).add(kb)
-        nbrs.setdefault(kb, set()).add(ka)
-    seen = set()
-    region_keys = []
-    for k in sorted(nbrs):
-        if k in seen:
-            continue
-        stack, group = [k], set()
-        while stack:
-            u = stack.pop()
-            if u in group:
-                continue
-            group.add(u)
-            stack.extend(nbrs[u])
-        seen |= group
-        region_keys.append(sorted(group))
-
-    components = list(comp_words)
-    comp_index = {("m", i): i for i in range(len(comp_words))}
-
-    def materialize(key):
-        if key in comp_index:
-            return comp_index[key]
-        assert key[0] == "s"
-        comp_index[key] = len(components)
-        components.append((key[1],))
-        return comp_index[key]
-
+    # connected components of the cannot-link graph = regions, keyed by
+    # their least unit; a lone word becomes a component when first met
+    find = _union_find(cl_edges, n_comps + n_words)
+    region_edges: dict = {}
+    for a, b in cl_edges:
+        region_edges.setdefault(find(a), []).append((a, b))
     regions = []
-    for keys in region_keys:
-        ids = [materialize(k) for k in keys]
-        local = {k: j for j, k in enumerate(keys)}
+    for root in sorted(region_edges):
+        edges = region_edges[root]
+        units = sorted({u for e in edges for u in e})
+        ids = []
+        for u in units:
+            if u < n_comps:
+                ids.append(u)
+            else:
+                ids.append(len(components))
+                components.append((u - n_comps,))
+        local = {u: j for j, u in enumerate(units)}
         # complement graph of the cannot-link edges within the region
-        forbidden = {tuple(sorted((local[a], local[b]))) for a, b in cl_edges
-                     if a in local and b in local}
-        comp_edges = {(i, j) for i in range(len(keys))
-                      for j in range(i + 1, len(keys))
+        forbidden = {(local[a], local[b]) for a, b in edges}
+        comp_edges = {(i, j) for i in range(len(units))
+                      for j in range(i + 1, len(units))
                       if (i, j) not in forbidden}
-        cliques = maximal_cliques(len(keys), comp_edges)
+        cliques = maximal_cliques(len(units), comp_edges)
         if len(cliques) > max_cliques:
             raise TooManyCliques(
                 f"region has {len(cliques)} branches (> {max_cliques}); "
                 f"thin the constraint set")
-        words = sorted(w for k in keys for w in components[comp_index[k]])
         regions.append(Region(
             component_ids=tuple(ids),
-            words=tuple(words),
+            words=tuple(sorted(w for m in ids for w in components[m])),
             cliques=tuple(tuple(ids[j] for j in cl) for cl in cliques),
         ))
 

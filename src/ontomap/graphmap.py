@@ -22,6 +22,7 @@ from .model import (
     ObjectPropertyAssertion,
     ObjectPropertyDomain,
     ObjectPropertyRange,
+    _expr_names,
 )
 from .ofn import _escape
 from .reasoner import InferredStore, classify
@@ -66,10 +67,6 @@ class Partition:
     seed: int
 
 
-def _expr_members(expr):
-    return (expr,) if isinstance(expr, Name) else expr.members
-
-
 def build_concept_graph(store: InferredStore,
                         include_individuals: bool = False) -> ConceptGraph:
     o = store.ontology
@@ -96,9 +93,9 @@ def build_concept_graph(store: InferredStore,
     domains, ranges = {}, {}
     for ax in o.axioms:
         if isinstance(ax, ObjectPropertyDomain):
-            domains.setdefault(ax.prop, []).extend(_expr_members(ax.cls))
+            domains.setdefault(ax.prop, []).extend(_expr_names(ax.cls))
         elif isinstance(ax, ObjectPropertyRange):
-            ranges.setdefault(ax.prop, []).extend(_expr_members(ax.cls))
+            ranges.setdefault(ax.prop, []).extend(_expr_names(ax.cls))
     for prop in sorted(set(domains) & set(ranges)):
         for d in domains[prop]:
             for r in ranges[prop]:
@@ -137,33 +134,48 @@ def undirected_projection(g: ConceptGraph) -> dict:
     return adj
 
 
-def _modularity_from_adj(adj: dict, assignment: dict) -> float:
-    m = 0.0
+def _indexed(adj: dict):
+    """Sorted nodes plus the graph on their positions: per node a dict of
+    neighbour weights (self-loops left out) and its self-loop weight."""
+    nodes = sorted(adj)
+    index = {n: i for i, n in enumerate(nodes)}
+    graph = [{} for _ in nodes]
+    loops = [0.0] * len(nodes)
     for u, nbrs in adj.items():
         for v, w in nbrs.items():
             if u == v:
+                loops[index[u]] += w
+            else:
+                graph[index[u]][index[v]] = w
+    return nodes, graph, loops
+
+
+def _modularity(graph, loops, comm) -> float:
+    """Newman modularity of community labels ``comm`` on an indexed graph;
+    a self-loop counts twice toward its node's degree."""
+    m = 0.0
+    for i, nbrs in enumerate(graph):
+        for j, w in nbrs.items():
+            if i < j:
                 m += w
-            elif u < v:
-                m += w
+        m += loops[i]
     if m == 0.0:
         return 0.0
     internal = {}
     total = {}
-    for u, nbrs in adj.items():
-        cu = assignment[u]
+    for i, nbrs in enumerate(graph):
+        ci = comm[i]
         deg = 0.0
-        for v, w in nbrs.items():
-            if u == v:
-                deg += 2 * w
-                internal[cu] = internal.get(cu, 0.0) + 2 * w
-            else:
-                deg += w
-                if assignment[v] == cu:
-                    internal[cu] = internal.get(cu, 0.0) + w
-        total[cu] = total.get(cu, 0.0) + deg
+        for j, w in nbrs.items():
+            deg += w
+            if comm[j] == ci:
+                internal[ci] = internal.get(ci, 0.0) + w
+        deg += 2 * loops[i]
+        internal[ci] = internal.get(ci, 0.0) + 2 * loops[i]
+        total[ci] = total.get(ci, 0.0) + deg
     q = 0.0
     for c in total:
-        q += internal.get(c, 0.0) / (2 * m) - (total[c] / (2 * m)) ** 2
+        q += internal[c] / (2 * m) - (total[c] / (2 * m)) ** 2
     return q
 
 
@@ -171,10 +183,17 @@ def modularity(g: ConceptGraph, p: Partition) -> float:
     names = {n.name for n in g.nodes}
     if set(p.assignment) != names:
         raise PartitionMismatch("partition does not cover the graph's nodes")
-    return _modularity_from_adj(undirected_projection(g), p.assignment)
+    nodes, graph, loops = _indexed(undirected_projection(g))
+    return _modularity(graph, loops, [p.assignment[n] for n in nodes])
 
 
 # --- Louvain ----------------------------------------------------------------
+
+
+def _dense(labels) -> list:
+    """Renumber labels 0, 1, ... in order of first appearance."""
+    remap = {}
+    return [remap.setdefault(c, len(remap)) for c in labels]
 
 
 def louvain(adj: dict, seed: int):
@@ -185,48 +204,22 @@ def louvain(adj: dict, seed: int):
     community id.  Phases repeat until the gain drops below 1e-9.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    nodes = sorted(adj)
-    # current-level graph over integer ids
-    index = {n: i for i, n in enumerate(nodes)}
-    graph = [{} for _ in nodes]
-    loops = [0.0] * len(nodes)
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
-            if u == v:
-                loops[index[u]] += w
-            else:
-                graph[index[u]][index[v]] = w
-    levels = []
+    nodes, graph, loops = _indexed(adj)
+    membership = list(range(len(nodes)))  # node -> current-level community
     history = []
     q_prev = None
     while True:
         comm, q = _local_move_phase(graph, loops, rng)
         history.append(q)
-        remap = {}
-        dense = []
-        for c in comm:
-            if c not in remap:
-                remap[c] = len(remap)
-            dense.append(remap[c])
-        levels.append(dense)
+        dense = _dense(comm)
+        membership = [dense[c] for c in membership]
         if q_prev is not None and q - q_prev < 1e-9:
             break
         q_prev = q
-        if len(remap) == len(comm):
+        if len(set(comm)) == len(comm):
             break  # no community merged; a further phase cannot change anything
         graph, loops = _aggregate(graph, loops, dense)
-    flat = list(range(len(nodes)))
-    for level in levels:
-        flat = [level[c] for c in flat]
-    # dense renumbering in node-sorted order
-    remap = {}
-    assignment = {}
-    for n in nodes:
-        c = flat[index[n]]
-        if c not in remap:
-            remap[c] = len(remap)
-        assignment[n] = remap[c]
-    return assignment, history
+    return dict(zip(nodes, _dense(membership))), history
 
 
 def _local_move_phase(graph, loops, rng):
@@ -261,25 +254,19 @@ def _local_move_phase(graph, loops, rng):
                 improved = True
             comm[i] = best_c
             comm_tot[best_c] += degree[i]
-    assignment = {i: comm[i] for i in range(n)}
-    adj = {i: dict(graph[i]) for i in range(n)}
-    for i in range(n):
-        if loops[i]:
-            adj[i][i] = loops[i]
-    return comm, _modularity_from_adj(adj, assignment)
+    return comm, _modularity(graph, loops, comm)
 
 
 def _aggregate(graph, loops, comm):
-    ids = sorted(set(comm))
-    remap = {c: i for i, c in enumerate(ids)}
-    k = len(ids)
+    """Collapse each community of the dense labels ``comm`` to one node."""
+    k = max(comm) + 1
     new_graph = [{} for _ in range(k)]
     new_loops = [0.0] * k
     for i in range(len(graph)):
-        ci = remap[comm[i]]
+        ci = comm[i]
         new_loops[ci] += loops[i]
         for j, w in graph[i].items():
-            cj = remap[comm[j]]
+            cj = comm[j]
             if ci == cj:
                 if i < j:
                     new_loops[ci] += w
@@ -301,23 +288,6 @@ PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
 )
-
-FORMATS = ("graphml", "dot", "nodelink-json")
-
-
-def export(g: ConceptGraph, p: Optional[Partition] = None,
-           format: str = "graphml") -> bytes:
-    if format == "graphml":
-        return _export_graphml(g, p)
-    if format == "dot":
-        return _export_dot(g, p)
-    if format == "nodelink-json":
-        return _export_nodelink(g, p)
-    raise UnknownFormat(format)
-
-
-def _cluster_of(p, name):
-    return None if p is None else p.assignment[name]
 
 
 def _export_graphml(g, p) -> bytes:
@@ -374,19 +344,30 @@ def _export_dot(g, p) -> bytes:
 
 
 def _export_nodelink(g, p) -> bytes:
+    nodes = []
+    for n in g.nodes:
+        node = {"id": str(n.name), "kind": n.kind, "label": n.label}
+        if p is not None:
+            node["cluster"] = p.assignment[n.name]
+        nodes.append(node)
     payload = {
-        "nodes": [
-            {"id": str(n.name), "kind": n.kind, "label": n.label,
-             "cluster": _cluster_of(p, n.name)}
-            for n in g.nodes
-        ],
+        "nodes": nodes,
         "links": [
             {"source": str(e.source), "target": str(e.target),
              "kind": e.kind, "weight": e.weight}
             for e in g.edges
         ],
     }
-    if p is None:
-        for n in payload["nodes"]:
-            del n["cluster"]
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+_EXPORTERS = {"graphml": _export_graphml, "dot": _export_dot,
+              "nodelink-json": _export_nodelink}
+FORMATS = tuple(_EXPORTERS)
+
+
+def export(g: ConceptGraph, p: Optional[Partition] = None,
+           format: str = "graphml") -> bytes:
+    if format not in _EXPORTERS:
+        raise UnknownFormat(format)
+    return _EXPORTERS[format](g, p)

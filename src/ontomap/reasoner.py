@@ -31,6 +31,7 @@ from .model import (
     SubObjectPropertyOf,
     UndeclaredEntity,
     UnionOf,
+    _expr_names,
 )
 
 
@@ -168,7 +169,7 @@ class _Engine:
             if isinstance(ax, SubClassOf):
                 if isinstance(ax.sup, Name):
                     # a union on the left means every member is subsumed
-                    for sub in (ax.sub,) if isinstance(ax.sub, Name) else ax.sub.members:
+                    for sub in _expr_names(ax.sub):
                         if sub != ax.sup:
                             self.add(Sub(sub, ax.sup), "asserted")
                 # named-to-union subsumption is disjunctive: no ground consequence
@@ -177,14 +178,11 @@ class _Engine:
                 if isinstance(a, Name) and isinstance(b, Name):
                     self.add(Sub(a, b), "R2")
                     self.add(Sub(b, a), "R2")
+                # a name sorts before a union, so a union is always ``b``
                 elif isinstance(a, Name) and isinstance(b, UnionOf):
                     for m in b.members:
                         if m != a:
                             self.add(Sub(m, a), "R3b")
-                elif isinstance(b, Name) and isinstance(a, UnionOf):
-                    for m in a.members:
-                        if m != b:
-                            self.add(Sub(m, b), "R3b")
             elif isinstance(ax, DisjointUnion):
                 for i, p in enumerate(ax.parts):
                     if p != ax.whole:
