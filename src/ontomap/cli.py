@@ -243,11 +243,19 @@ def cmd_tag(args, stdout, stderr) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+class _HelpRequested(Exception):
+    """``-h``/``--help`` was given; carries the help text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises on usage errors, which ``main`` reports with exit code 64."""
+    """Raises on usage errors, which ``main`` reports with exit code 64, and
+    hands help text to ``main`` instead of printing it and exiting."""
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _ranged(convert, ok, what):
@@ -298,8 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ontology")
     p.add_argument("--cluster", action="store_true")
     p.add_argument("--seed", type=_SEED, default=42)
-    p.add_argument("--format", default="dot",
-                   choices=["graphml", "dot", "nodelink-json"])
+    p.add_argument("--format", default="dot", choices=graphmap.FORMATS)
     p.add_argument("--individuals", action="store_true")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_graph)
@@ -347,6 +354,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=stderr)
         return 64
+    except _HelpRequested as exc:
+        stdout.write(exc.args[0])
+        return 0
     try:
         return args.func(args, stdout, stderr)
     except tuple(_EXIT_CODES) as exc:

@@ -272,3 +272,33 @@ def test_console_entrypoint_runs(fixture_path):
         [sys.executable, "-m", "ontomap.cli", "validate", str(fixture_path)],
         capture_output=True)
     assert proc.returncode == 0
+
+
+GRAPH_HELP = """\
+usage: ontomap graph [-h] [--cluster] [--seed SEED] \
+[--format {graphml,dot,nodelink-json}] [--individuals] [--out OUT] ontology
+
+positional arguments:
+  ontology
+
+options:
+  -h, --help            show this help message and exit
+  --cluster
+  --seed SEED
+  --format {graphml,dot,nodelink-json}
+  --individuals
+  --out OUT             output path (default: stdout)
+"""
+
+
+def test_help_returns_0_with_text_on_given_stdout(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps to the terminal
+    assert run(["graph", "--help"]) == (0, GRAPH_HELP, "")
+    assert run(["graph", "-h"]) == (0, GRAPH_HELP, "")
+    for command in ("validate", "metrics", "reason", "lda", "tag"):
+        for flag in ("-h", "--help"):
+            code, out, err = run([command, flag])
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: ontomap {command} [-h]")
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: ontomap [-h]")

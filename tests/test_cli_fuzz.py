@@ -103,7 +103,8 @@ def argvs(draw):
         argv.append(flag)
         if flags[flag] is not None:
             argv.append(draw(st.sampled_from(flags[flag])))
-    return argv + draw(st.sampled_from([[]] * 8 + [["--bogus"], ["extra"]]))
+    return argv + draw(st.sampled_from(
+        [[]] * 8 + [["--bogus"], ["extra"], ["--help"], ["-h"]]))
 
 
 def lda(*flags):
