@@ -75,21 +75,29 @@ class SamplingIndex:
         for r, region in enumerate(forest.regions):
             for w in region.words:
                 self.region_of[w] = r
-        # per region: root edge weight (constant across branches) and per
-        # branch the gamma total of the branch root's children
+        # per component: the static terms of the must-link node's weights
+        self.size_beta = [n * beta for n in self.comp_size]
+        self.size_eta_beta = [n * self.eta_beta for n in self.comp_size]
+        # per region: root edge weight (constant across branches)
         self.region_gamma = [beta * len(reg.words) for reg in forest.regions]
+        # branch j of region r is branch_offset[r] + j; per branch, the gamma
+        # total of the branch root's children, and a byte per component, 1
+        # for those in the branch's clique (a region may have 128 branches)
+        self.branch_offset = []
         self.branch_gamma = []
-        self.branch_members = []  # per region, per branch: set of comp ids
+        member = bytearray()
         for region in forest.regions:
-            gammas, members = [], []
+            self.branch_offset.append(len(self.branch_gamma))
             total_words = len(region.words)
             for clique in region.cliques:
-                in_words = sum(len(forest.components[m]) for m in clique)
-                gammas.append(beta * in_words
-                              + self.eps_beta * (total_words - in_words))
-                members.append(frozenset(clique))
-            self.branch_gamma.append(gammas)
-            self.branch_members.append(members)
+                in_words = sum(self.comp_size[m] for m in clique)
+                self.branch_gamma.append(
+                    beta * in_words + self.eps_beta * (total_words - in_words))
+                row = bytearray(len(self.comp_size))
+                for m in clique:
+                    row[m] = 1
+                member += row
+        self.member = bytes(member)
 
 
 def maximal_cliques(n: int, edges: set) -> list:

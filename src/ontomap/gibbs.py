@@ -9,6 +9,14 @@ the initial topics and one ``random(n)`` per sweep draws its uniforms, the
 same PCG64 stream as one call per token (``tests/test_gibbs.py`` pins it);
 each sweep's branch draws follow its token loop.
 
+The token loop is ``_sweep``: it takes the chain's counts as flat int64
+arrays (``_Chain``) and that sweep's uniforms, and draws no random
+numbers.  ``sweep.c`` is its compiled twin, built and loaded by
+``native``; it computes every weight with the same operations in the
+same order, so the two give the same bits, and ``_sweep`` runs whenever
+no compiler or library is available.  Init, the uniforms and the branch
+draws are shared Python code.
+
 Token step: p(z_i = k) is proportional to (alpha + n_dk) times the product,
 over internal nodes on the root-to-leaf path of the word in topic k's
 selected tree, of (gamma_child + n_child) / sum_children (gamma + n).  With
@@ -21,9 +29,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from functools import partial
+from itertools import accumulate, chain, islice
 from math import exp, inf, lgamma
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -107,86 +116,129 @@ def _pick(cumulative, u):
     return min(bisect_right(cumulative, u), len(cumulative) - 1)
 
 
+class _Chain(NamedTuple):
+    """A sampler's state as int64 arrays, row-major where 2-D.  A sweep
+    writes into the arrays; the fields are never rebound, because the
+    compiled sweep holds the arrays' addresses."""
+
+    words: np.ndarray       # per token: word id
+    doc: np.ndarray         # per token: document id
+    z: np.ndarray           # per token: topic id
+    n_dk: np.ndarray        # doc x topic counts
+    n_kw: np.ndarray        # topic x word counts
+    n_k: np.ndarray         # per-topic totals
+    n_comp: np.ndarray      # topic x component counts
+    n_region: np.ndarray    # topic x region counts
+    q: np.ndarray           # topic x region branch selections
+
+
+def _init(docs, tree, K, V, rng) -> _Chain:
+    """One uniform topic draw per token, and the counts it implies."""
+    lengths = [len(doc) for doc in docs]
+    n = sum(lengths)
+    words = np.fromiter(chain.from_iterable(docs), np.int64, n)
+    if n and not 0 <= words.min() <= words.max() < V:
+        raise ValueError("corpus word id outside its vocabulary")
+    z = rng.integers(K, size=n)
+    doc = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+    comp = np.array(tree.comp_of, np.int64)[words]
+    region = np.array(tree.region_of, np.int64)[words]
+    M, R = len(tree.comp_size), len(tree.region_gamma)
+
+    def counts(keys, rows, width):
+        return np.bincount(keys, minlength=rows * width).astype(
+            np.int64, copy=False).reshape(rows, width)
+
+    return _Chain(
+        words=words, doc=doc, z=z,
+        n_dk=counts(doc * K + z, len(docs), K),
+        n_kw=counts(z * V + words, K, V),
+        n_k=counts(z, 1, K)[0],
+        n_comp=counts((z * M + comp)[comp >= 0], K, M),
+        n_region=counts((z * R + region)[region >= 0], K, R),
+        q=np.zeros((K, R), np.int64))
+
+
 def _run(corpus, forest, K, alpha, beta, iters, seed):
+    # imported here, at the first sampler call: it loads subprocess and
+    # hashlib, which ``import ontomap`` does not need
+    from . import native
+
     rng = np.random.Generator(np.random.PCG64(seed))
     V = len(corpus.vocabulary)
     docs = corpus.documents
-    n_tokens = sum(len(doc) for doc in docs)
     # a flat index maps every word to component and region -1
     tree = (forest or flat_forest(V, beta)).sampling_index
-    comp_of, region_of = tree.comp_of, tree.region_of
+    s = _init(docs, tree, K, V, rng)
+    flat = forest is None
+    sweep = native.sweeper(tree, flat, K, alpha, beta, s) \
+        or partial(_sweep, tree, flat, K, alpha, beta, s)
     n_regions = len(tree.region_gamma)
-    vbeta = V * beta
-    weights = [0.0] * K
-
-    init = iter(rng.integers(K, size=n_tokens).tolist())
-    z = [list(islice(init, len(doc))) for doc in docs]
-    n_dk = [[0] * K for _ in docs]
-    n_kw = [[0] * V for _ in range(K)]
-    n_k = [0] * K
-    n_comp = [[0] * len(tree.comp_size) for _ in range(K)]
-    n_region = [[0] * n_regions for _ in range(K)]
-    q = [[0] * n_regions for _ in range(K)]
-
-    for d, doc in enumerate(docs):
-        ndk = n_dk[d]
-        for w, k in zip(doc, z[d]):
-            m, r = comp_of[w], region_of[w]
-            ndk[k] += 1
-            n_kw[k][w] += 1
-            n_k[k] += 1
-            if m >= 0:
-                n_comp[k][m] += 1
-            if r >= 0:
-                n_region[k][r] += 1
-
     for _ in range(iters):
-        # zip reads ``doc`` first, so each document takes exactly its own
-        # tokens' uniforms, in token order
-        uniforms = iter(rng.random(n_tokens).tolist())
-        for d, doc in enumerate(docs):
-            zd, ndk = z[d], n_dk[d]
-            for i, (w, u) in enumerate(zip(doc, uniforms)):
-                m, r = comp_of[w], region_of[w]
-                k_old = zd[i]
-                ndk[k_old] -= 1
-                n_kw[k_old][w] -= 1
-                n_k[k_old] -= 1
-                if m >= 0:
-                    n_comp[k_old][m] -= 1
-                if r >= 0:
-                    n_region[k_old][r] -= 1
-                total = 0.0
-                if forest is None:
-                    for k in range(K):
-                        total += (alpha + ndk[k]) * (beta + n_kw[k][w]) \
-                            / (vbeta + n_k[k])
-                        weights[k] = total
-                else:
-                    for k in range(K):
-                        total += (alpha + ndk[k]) * _path_prob(
-                            tree, w, m, r, beta, vbeta,
-                            n_kw[k], n_k[k], n_comp[k], n_region[k], q[k])
-                        weights[k] = total
-                k_new = _pick(weights, u * total)
-                zd[i] = k_new
-                ndk[k_new] += 1
-                n_kw[k_new][w] += 1
-                n_k[k_new] += 1
-                if m >= 0:
-                    n_comp[k_new][m] += 1
-                if r >= 0:
-                    n_region[k_new][r] += 1
-        for k in range(K):
-            for r in range(n_regions):
-                q[k][r] = _sample_branch(forest, r, n_kw[k], n_comp[k], rng)
+        sweep(rng.random(len(s.words)))
+        if n_regions:
+            n_kw, n_comp = s.n_kw.tolist(), s.n_comp.tolist()
+            for k in range(K):
+                for r in range(n_regions):
+                    s.q[k, r] = _sample_branch(
+                        forest, r, n_kw[k], n_comp[k], rng)
 
+    z = iter(s.z.tolist())
     return TopicModelState(
-        K=K, alpha=alpha, beta=beta, z=z, n_dk=n_dk, n_kw=n_kw, n_k=n_k,
+        K=K, alpha=alpha, beta=beta,
+        z=[list(islice(z, len(doc))) for doc in docs],
+        n_dk=s.n_dk.tolist(), n_kw=s.n_kw.tolist(), n_k=s.n_k.tolist(),
         seed=seed, iters=iters, forest=forest,
-        q=q if forest is not None else None,
-        n_comp=n_comp if forest is not None else None,
-        n_region=n_region if forest is not None else None)
+        q=None if flat else s.q.tolist(),
+        n_comp=None if flat else s.n_comp.tolist(),
+        n_region=None if flat else s.n_region.tolist())
+
+
+def _sweep(tree, flat, K, alpha, beta, s, uniforms):
+    """One Gibbs sweep over every token of ``s``, in place, with one
+    uniform per token; the reference for the compiled sweep (sweep.c).
+    Returns the last token's cumulative topic weights."""
+    comp_of, region_of = tree.comp_of, tree.region_of
+    vbeta = len(comp_of) * beta
+    weights = [0.0] * K
+    arrays = (s.z, s.n_dk, s.n_kw, s.n_k, s.n_comp, s.n_region)
+    z, n_dk, n_kw, n_k, n_comp, n_region = (a.tolist() for a in arrays)
+    q = s.q.tolist()
+    tokens = zip(s.words.tolist(), s.doc.tolist(), uniforms.tolist())
+    for i, (w, d, u) in enumerate(tokens):
+        m, r = comp_of[w], region_of[w]
+        ndk, k_old = n_dk[d], z[i]
+        ndk[k_old] -= 1
+        n_kw[k_old][w] -= 1
+        n_k[k_old] -= 1
+        if m >= 0:
+            n_comp[k_old][m] -= 1
+        if r >= 0:
+            n_region[k_old][r] -= 1
+        total = 0.0
+        if flat:
+            for k in range(K):
+                total += (alpha + ndk[k]) * (beta + n_kw[k][w]) \
+                    / (vbeta + n_k[k])
+                weights[k] = total
+        else:
+            for k in range(K):
+                total += (alpha + ndk[k]) * _path_prob(
+                    tree, w, m, r, beta, vbeta,
+                    n_kw[k], n_k[k], n_comp[k], n_region[k], q[k])
+                weights[k] = total
+        k_new = _pick(weights, u * total)
+        z[i] = k_new
+        ndk[k_new] += 1
+        n_kw[k_new][w] += 1
+        n_k[k_new] += 1
+        if m >= 0:
+            n_comp[k_new][m] += 1
+        if r >= 0:
+            n_region[k_new][r] += 1
+    for a, values in zip(arrays, (z, n_dk, n_kw, n_k, n_comp, n_region)):
+        a[...] = values
+    return weights
 
 
 def _path_prob(tree, w, m, r, beta, vbeta, nkw, nk, ncomp, nregion, qk):
@@ -195,20 +247,18 @@ def _path_prob(tree, w, m, r, beta, vbeta, nkw, nk, ncomp, nregion, qk):
     if m < 0:
         return (beta + nkw[w]) / root_den
     if r < 0:
-        size = tree.comp_size[m]
-        return ((size * beta + ncomp[m]) / root_den
+        return ((tree.size_beta[m] + ncomp[m]) / root_den
                 * (tree.eta_beta + nkw[w])
-                / (size * tree.eta_beta + ncomp[m]))
+                / (tree.size_eta_beta[m] + ncomp[m]))
     p = (tree.region_gamma[r] + nregion[r]) / root_den
-    j = qk[r]
-    den = tree.branch_gamma[r][j] + nregion[r]
-    if m in tree.branch_members[r][j]:
-        size = tree.comp_size[m]
-        if size == 1:
+    b = tree.branch_offset[r] + qk[r]
+    den = tree.branch_gamma[b] + nregion[r]
+    if tree.member[b * len(tree.comp_size) + m]:
+        if tree.comp_size[m] == 1:
             return p * (beta + nkw[w]) / den
-        return (p * (size * beta + ncomp[m]) / den
+        return (p * (tree.size_beta[m] + ncomp[m]) / den
                 * (tree.eta_beta + nkw[w])
-                / (size * tree.eta_beta + ncomp[m]))
+                / (tree.size_eta_beta[m] + ncomp[m]))
     return p * (tree.eps_beta + nkw[w]) / den
 
 
@@ -226,15 +276,14 @@ def _branch_log_score(forest, r, j, nkw, ncomp):
     """Dirichlet-multinomial marginal of one candidate branch (log)."""
     tree = forest.sampling_index
     region = forest.regions[r]
-    beta = forest.beta
-    members = tree.branch_members[r][j]
+    row = (tree.branch_offset[r] + j) * len(tree.comp_size)
     gamma_sum = 0.0
     n_sum = 0
     score = 0.0
     for m in region.component_ids:
         comp = forest.components[m]
-        if m in members:
-            g = len(comp) * beta
+        if tree.member[row + m]:
+            g = tree.size_beta[m]
             n = ncomp[m]
             score += lgamma(g + n) - lgamma(g)
             gamma_sum += g

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from ontomap import ofn, reasoner
+from ontomap import native, ofn, reasoner
 
 FIXTURE = pathlib.Path(__file__).parent.parent / "fixtures" / "obesity-sample.ofn"
 
@@ -25,3 +25,12 @@ def fixture_ontology():
 @pytest.fixture(scope="session")
 def fixture_store(fixture_ontology):
     return reasoner.saturate(fixture_ontology)
+
+
+@pytest.fixture()
+def kernel_cache(monkeypatch, tmp_path):
+    """The compiled sweep's loader, reset, with its cache in a new directory."""
+    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path / "cache")
+    native.kernel.cache_clear()
+    yield tmp_path / "cache"
+    native.kernel.cache_clear()

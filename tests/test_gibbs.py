@@ -1,9 +1,14 @@
+import copy
 import hashlib
+import io
 import math
+import shutil
+from functools import partial
 
 import numpy as np
 import pytest
 
+from ontomap import cli, gibbs, native
 from ontomap.constraints import ConstraintSet
 from ontomap.corpus import Corpus
 from ontomap.forest import build_forest, flat_forest
@@ -19,7 +24,11 @@ from ontomap.gibbs import (
     top_words,
 )
 from ontomap.model import Name
-from ontomap.synthetic import planted_two_topics, topic_purity
+from ontomap.synthetic import (
+    HEALTH_SNIPPETS,
+    planted_two_topics,
+    topic_purity,
+)
 
 
 def corpus_of(docs, vocab_size=None):
@@ -216,11 +225,18 @@ def _state_digest(state, corpus):
     return hashlib.sha256(repr(fields).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("K, digest", [
+LDA_PINS = [
     (1, "53a87f3767177c3d81b018a05df92f66fe4ac6676d38ea1692e59ecf7116ed22"),
     (2, "70f494ee5027ea4b81d53b0809a26c9fdbd4c4f1c92b320f411900440185ef85"),
     (20, "50b2ad4aa34149f36c609c3e0be8d3b3668f7db6c17da1d1e8e81b159efced64"),
-])
+]
+DFLDA_PINS = [
+    (2, "a74d96f1048bba6375720a490a61c3cd2444ac249d4f655d017697749d2fbf4c"),
+    (3, "3d22e83a1c48f75027141f8b12c23649f2ff8f5010a638ef5e2fe515768d1e2c"),
+]
+
+
+@pytest.mark.parametrize("K, digest", LDA_PINS)
 def test_lda_state_pinned(K, digest):
     # pins the PCG64 stream consumption and every float of the flat sampler
     c, _ = planted_two_topics(n_docs=12, doc_len=10, seed=3)
@@ -228,10 +244,7 @@ def test_lda_state_pinned(K, digest):
     assert _state_digest(state, c) == digest
 
 
-@pytest.mark.parametrize("K, digest", [
-    (2, "a74d96f1048bba6375720a490a61c3cd2444ac249d4f655d017697749d2fbf4c"),
-    (3, "3d22e83a1c48f75027141f8b12c23649f2ff8f5010a638ef5e2fe515768d1e2c"),
-])
+@pytest.mark.parametrize("K, digest", DFLDA_PINS)
 def test_dflda_state_pinned(K, digest):
     # a free must-link {6, 7}; region 0 holds the must-link {0, 1, 2} and
     # two singletons with two branches; region 1 has two singleton branches
@@ -242,3 +255,123 @@ def test_dflda_state_pinned(K, digest):
     assert [len(r.cliques) for r in forest.regions] == [2, 2]
     state = dflda_gibbs(c, forest, K=K, alpha=0.5, iters=15, seed=11)
     assert _state_digest(state, c) == digest
+
+
+# --- the compiled sweep against its reference, gibbs._sweep ------------------
+
+SWEEP_CASES = {
+    "flat-K1": (None, 1),
+    "flat-K2": (None, 2),
+    "flat-K3": (None, 3),
+    "flat-K20": (None, 20),
+    "free-must-link": (cs(must=[(0, 1), (1, 2)]), 3),
+    "must-link-in-region": (cs(must=[(0, 1)], cannot=[(1, 5), (5, 6)]), 3),
+    "two-regions": (cs(must=[(0, 1), (1, 2), (6, 7)],
+                       cannot=[(0, 12), (12, 13), (5, 20)]), 2),
+    # the maximal independent sets of a 17-word path: 114 branches
+    "114-branches": (cs(cannot=[(w, w + 1) for w in range(16)]), 3),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_c_sweep_matches_python_sweep(case, seed):
+    if shutil.which(native.CC) is None:
+        pytest.skip("no C compiler")
+    constraints, K = SWEEP_CASES[case]
+    rnd = np.random.Generator(np.random.PCG64(seed))
+    c = corpus_of([rnd.integers(30, size=rnd.integers(1, 25)).tolist()
+                   for _ in range(15)], vocab_size=30)
+    if constraints is None:
+        forest, beta = flat_forest(30, 0.05), 0.05
+    else:
+        forest = build_forest(constraints, c.vocabulary, beta=0.1, eta=40.0,
+                              epsilon=0.02)
+        beta = forest.beta
+    branches = [len(region.cliques) for region in forest.regions]
+    if case == "114-branches":
+        assert branches == [114]
+    tree, flat = forest.sampling_index, constraints is None
+    py = gibbs._init(c.documents, tree, K, 30, rnd)
+    compiled = copy.deepcopy(py)
+
+    def sweeps(token=slice(None)):
+        """Both sweeps, over the tokens ``token`` selects."""
+        py_part, compiled_part = (
+            s._replace(words=s.words[token], doc=s.doc[token],
+                       z=s.z[token]) for s in (py, compiled))
+        compiled_sweep = native.sweeper(tree, flat, K, 0.7, beta,
+                                        compiled_part)
+        assert compiled_sweep is not None, "a compiler is present"
+        return (partial(gibbs._sweep, tree, flat, K, 0.7, beta, py_part),
+                compiled_sweep)
+
+    n = len(py.words)
+    for it in range(6):
+        uniforms = rnd.random(n)
+        if it % 2:
+            py_sweep, compiled_sweep = sweeps()
+            compiled_sweep(uniforms)
+            py_sweep(uniforms)
+        else:
+            # token by token: every token's weights agree to the last bit
+            for i in range(n):
+                one = slice(i, i + 1)
+                py_sweep, compiled_sweep = sweeps(one)
+                assert compiled_sweep(uniforms[one]) == \
+                    py_sweep(uniforms[one]), f"token {i}"
+        for name in ("z", "n_dk", "n_kw", "n_k", "n_comp", "n_region"):
+            np.testing.assert_array_equal(getattr(compiled, name),
+                                          getattr(py, name), err_msg=name)
+        # the next sweep reads new branch choices, the same in both chains
+        py.q[...] = compiled.q[...] = [[rnd.integers(b) for b in branches]
+                                       for _ in range(K)]
+
+
+def test_python_sweep_serves_when_no_compiler(monkeypatch, kernel_cache,
+                                              fixture_path, tmp_path):
+    corpus_tsv = tmp_path / "corpus.tsv"
+    corpus_tsv.write_text("".join(f"{i}\t{t}\n" for i, t in HEALTH_SNIPPETS),
+                          encoding="utf-8")
+    argv = ["lda", str(corpus_tsv), "--k", "3", "--iters", "10",
+            "--constrained", "--ontology", str(fixture_path), "--out"]
+    assert cli.main(argv + [str(tmp_path / "a.json")],
+                    stdout=io.StringIO(), stderr=io.StringIO()) == 0
+
+    # an empty cache and no compiler
+    native.kernel.cache_clear()
+    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path / "empty")
+    monkeypatch.setattr(native, "CC", "no-such-compiler")
+    calls = []
+    python_sweep = gibbs._sweep
+    monkeypatch.setattr(gibbs, "_sweep",
+                        lambda *a: calls.append(1) or python_sweep(*a))
+    for K, digest in LDA_PINS:
+        test_lda_state_pinned(K, digest)
+    for K, digest in DFLDA_PINS:
+        test_dflda_state_pinned(K, digest)
+    assert native.kernel() is None and calls
+    err = io.StringIO()
+    assert cli.main(argv + [str(tmp_path / "b.json")],
+                    stdout=io.StringIO(), stderr=err) == 0
+    assert "Traceback" not in err.getvalue()
+    assert (tmp_path / "a.json").read_bytes() == \
+        (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_sweeps_break_a_tie_like_bisect_right(flat):
+    # one token, and no other counts: both topics weigh the same, so
+    # u = 0.5 lands exactly on the first cumulative weight and picks topic 1
+    if shutil.which(native.CC) is None:
+        pytest.skip("no C compiler")
+    tree = flat_forest(1, 0.1).sampling_index
+    chains = [gibbs._Chain(
+        words=np.zeros(1, np.int64), doc=np.zeros(1, np.int64),
+        z=np.zeros(1, np.int64), n_dk=np.array([[1, 0]]),
+        n_kw=np.array([[1], [0]]), n_k=np.array([1, 0]),
+        n_comp=np.zeros((2, 0), np.int64), n_region=np.zeros((2, 0), np.int64),
+        q=np.zeros((2, 0), np.int64)) for _ in range(2)]
+    gibbs._sweep(tree, flat, 2, 0.5, 0.1, chains[0], np.array([0.5]))
+    native.sweeper(tree, flat, 2, 0.5, 0.1, chains[1])(np.array([0.5]))
+    assert chains[0].z.tolist() == chains[1].z.tolist() == [1]
