@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -302,3 +304,30 @@ def test_help_returns_0_with_text_on_given_stdout(monkeypatch):
             assert out.startswith(f"usage: ontomap {command} [-h]")
     code, out, err = run(["--help"])
     assert (code, err) == (0, "") and out.startswith("usage: ontomap [-h]")
+
+
+def test_reason_and_graph_bytes_do_not_follow_the_hash_seed(fixture_path,
+                                                            tmp_path):
+    # each process hashes strings with its own PYTHONHASHSEED, so set and
+    # dict order may differ between runs; the outputs must not
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    commands = {
+        "reason": ["reason", str(fixture_path), "--strict", "--out"],
+        "graphml": ["graph", str(fixture_path), "--cluster",
+                    "--format", "graphml", "--out"],
+        "dot": ["graph", str(fixture_path), "--cluster",
+                "--format", "dot", "--out"],
+    }
+    seen = {}
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{hash_seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ontomap.cli", *argv, str(out)],
+                capture_output=True, env=env)
+            got = (proc.returncode, proc.stdout, out.read_bytes())
+            assert got == seen.setdefault(name, got), (name, hash_seed)
+    assert seen["reason"][0] == 3  # the strict report has violations

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -251,3 +252,49 @@ def test_matches_naive_oracle_small_batch():
     for _ in range(40):
         o = random_reasoner_ontology(rnd)
         assert saturate(o).facts == naive_closure(o)
+
+
+# --- digest guard over derivations, violations and the taxonomy -------------
+
+
+def _strs(items):
+    return [str(x) for x in items]
+
+
+def _store_record(store):
+    tax = classify(store)
+    return (
+        [(str(f), store.derivations[f].rule,
+          _strs(store.derivations[f].premises))
+         for f in sorted(store.facts, key=str)],
+        [(v.kind, _strs(v.involved), _strs(v.witnesses))
+         for v in store.violations],
+        sorted((str(c), sorted(_strs(m)))
+               for c, m in store.isa_by_cls.items()),
+        sorted(_strs(pair) for pair in store.disjoint_pairs),
+        [(str(c), sorted(_strs(tax.direct_supers[c])),
+          sorted(_strs(tax.direct_subs[c])))
+         for c in sorted(tax.direct_supers)],
+        sorted(sorted(_strs(g)) for g in tax.merged_groups),
+    )
+
+
+def test_saturate_pinned(fixture_ontology):
+    # seeds 0-199 of random_ontology reach every violation kind, including
+    # the rare AsymmetryBreach (seeds 16, 88 and 136)
+    ontologies = [fixture_ontology]
+    ontologies += [random_reasoner_ontology(random.Random(s))
+                   for s in range(200)]
+    ontologies += [random_ontology(random.Random(s)) for s in range(200)]
+    out = []
+    kinds = set()
+    for o in ontologies:
+        for strict in (False, True):
+            store = saturate(o, strict=strict)
+            kinds.update(v.kind for v in store.violations)
+            out.append(_store_record(store))
+    assert kinds == {"DisjointMembership", "IrreflexiveLoop",
+                     "AsymmetryBreach", "FunctionalFanout",
+                     "UnsatisfiableClass", "StrictDomainRange"}
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "c4cf282fb0d87769a0e11946099285ca780fd23a86cb62a9ea99be957796bd42")
