@@ -95,54 +95,50 @@ class UnknownFact(Exception):
 
 
 class _Engine:
+    """Forward chaining over one fact table and the indexes of its facts.
+
+    ``derivations`` maps each fact to its first derivation, and is the fact
+    table.  Indexes, one map per predicate as RDFox keeps them: ``subs_of[A]``
+    and ``sups_of[B]`` for ``Sub(A, B)``, ``isa_by_cls[C]`` for ``IsA(a, C)``,
+    ``rel_out[p][a]`` and ``rel_in[p][b]`` for ``Rel(p, a, b)``.
+    ``props[characteristic]`` holds the properties with that characteristic.
+    """
+
     def __init__(self, o: Ontology, domain_range: bool = True):
         self.o = o
         self.domain_range = domain_range
-        self.facts: set = set()
         self.derivations: dict = {}
         self.queue: deque = deque()
-        # indexes
-        self.subs_of: dict = {}    # A -> {B : Sub(A,B)}
-        self.sups_of: dict = {}    # B -> {A : Sub(A,B)}
-        self.isa_by_ind: dict = {} # a -> {C}
-        self.isa_by_cls: dict = {} # C -> {a}
-        self.rel_out: dict = {}    # (p, a) -> {b}
-        self.rel_in: dict = {}     # (p, b) -> {a}
-        # property metadata
+        self.subs_of: dict = {}
+        self.sups_of: dict = {}
+        self.isa_by_cls: dict = {}
+        self.rel_out: dict = {}
+        self.rel_in: dict = {}
         self.domain: dict = {}
         self.range: dict = {}
         self.inverse: dict = {}
         self.superprops: dict = {}
-        self.symmetric: set = set()
-        self.transitive: set = set()
-        self.irreflexive: set = set()
-        self.asymmetric: set = set()
-        self.functional: set = set()
-        self.inverse_functional: set = set()
+        self.props = {c: set() for c in Characteristic}
         self.disjoint_pairs: set = set()
 
-    def _pair(self, a: Name, b: Name):
-        return (a, b) if a <= b else (b, a)
-
     def add(self, fact: Fact, rule: str, premises: tuple = ()):
-        if fact in self.facts:
+        if fact in self.derivations:
             return
-        self.facts.add(fact)
         self.derivations[fact] = Derivation(fact, rule, premises)
         self.queue.append(fact)
         if isinstance(fact, Sub):
             self.subs_of.setdefault(fact.sub, set()).add(fact.sup)
             self.sups_of.setdefault(fact.sup, set()).add(fact.sub)
         elif isinstance(fact, IsA):
-            self.isa_by_ind.setdefault(fact.individual, set()).add(fact.cls)
             self.isa_by_cls.setdefault(fact.cls, set()).add(fact.individual)
         else:
-            self.rel_out.setdefault((fact.prop, fact.subject), set()).add(fact.object)
-            self.rel_in.setdefault((fact.prop, fact.object), set()).add(fact.subject)
+            p, a, b = fact.prop, fact.subject, fact.object
+            self.rel_out.setdefault(p, {}).setdefault(a, set()).add(b)
+            self.rel_in.setdefault(p, {}).setdefault(b, set()).add(a)
 
     def seed(self):
-        o = self.o
-        for ax in o.axioms:
+        # no rule fires before run(), so metadata may follow the facts
+        for ax in self.o.axioms:
             if isinstance(ax, ObjectPropertyDomain) and isinstance(ax.cls, Name):
                 self.domain[ax.prop] = ax.cls
             elif isinstance(ax, ObjectPropertyRange) and isinstance(ax.cls, Name):
@@ -153,20 +149,12 @@ class _Engine:
             elif isinstance(ax, SubObjectPropertyOf):
                 self.superprops.setdefault(ax.sub, set()).add(ax.sup)
             elif isinstance(ax, PropertyCharacteristic):
-                {
-                    Characteristic.SYMMETRIC: self.symmetric,
-                    Characteristic.TRANSITIVE: self.transitive,
-                    Characteristic.IRREFLEXIVE: self.irreflexive,
-                    Characteristic.ASYMMETRIC: self.asymmetric,
-                    Characteristic.FUNCTIONAL: self.functional,
-                    Characteristic.INVERSE_FUNCTIONAL: self.inverse_functional,
-                }[ax.characteristic].add(ax.prop)
+                self.props[ax.characteristic].add(ax.prop)
             elif isinstance(ax, DisjointClasses):
                 for i, c in enumerate(ax.classes):
                     for d in ax.classes[i + 1:]:
-                        self.disjoint_pairs.add(self._pair(c, d))
-        for ax in o.axioms:
-            if isinstance(ax, SubClassOf):
+                        self.disjoint_pairs.add((min(c, d), max(c, d)))
+            elif isinstance(ax, SubClassOf):
                 if isinstance(ax.sup, Name):
                     # a union on the left means every member is subsumed
                     for sub in _expr_names(ax.sub):
@@ -188,7 +176,7 @@ class _Engine:
                     if p != ax.whole:
                         self.add(Sub(p, ax.whole), "R3")
                     for q in ax.parts[i + 1:]:
-                        self.disjoint_pairs.add(self._pair(p, q))
+                        self.disjoint_pairs.add((min(p, q), max(p, q)))
             elif isinstance(ax, ClassAssertion):
                 if isinstance(ax.cls, Name):
                     self.add(IsA(ax.individual, ax.cls), "asserted")
@@ -234,12 +222,12 @@ class _Engine:
                 self.add(IsA(b, rng), "R6", (f,))
         for q in sorted(self.inverse.get(p, ())):
             self.add(Rel(q, b, a), "R7", (f,))
-        if p in self.symmetric:
+        if p in self.props[Characteristic.SYMMETRIC]:
             self.add(Rel(p, b, a), "R8", (f,))
-        if p in self.transitive:
-            for c in sorted(self.rel_out.get((p, b), ())):
+        if p in self.props[Characteristic.TRANSITIVE]:
+            for c in sorted(self.rel_out[p].get(b, ())):
                 self.add(Rel(p, a, c), "R9", (f, Rel(p, b, c)))
-            for x in sorted(self.rel_in.get((p, a), ())):
+            for x in sorted(self.rel_in[p].get(a, ())):
                 self.add(Rel(p, x, b), "R9", (Rel(p, x, a), f))
         for q in sorted(self.superprops.get(p, ())):
             self.add(Rel(q, a, b), "R10", (f,))
@@ -254,34 +242,29 @@ class _Engine:
                 violations.append(Violation(
                     "DisjointMembership", (a, c, d),
                     (IsA(a, c), IsA(a, d))))
-        for p in sorted(self.irreflexive):
-            for (prop, a), objs in sorted(self.rel_out.items()):
-                if prop == p and a in objs:
+        for p in sorted(self.props[Characteristic.IRREFLEXIVE]):
+            for a, objs in sorted(self.rel_out.get(p, {}).items()):
+                if a in objs:
                     violations.append(Violation(
                         "IrreflexiveLoop", (p, a), (Rel(p, a, a),)))
-        for p in sorted(self.asymmetric):
-            seen = set()
-            for (prop, a), objs in sorted(self.rel_out.items()):
-                if prop != p:
-                    continue
+        for p in sorted(self.props[Characteristic.ASYMMETRIC]):
+            out = self.rel_out.get(p, {})
+            for a, objs in sorted(out.items()):
                 for b in sorted(objs):
-                    if a != b and a in self.rel_out.get((p, b), ()):
-                        key = self._pair(a, b)
-                        if key not in seen:
-                            seen.add(key)
-                            violations.append(Violation(
-                                "AsymmetryBreach", (p,) + key,
-                                (Rel(p, key[0], key[1]), Rel(p, key[1], key[0]))))
-        for p in sorted(self.functional):
-            for (prop, a), objs in sorted(self.rel_out.items()):
-                if prop == p and len(objs) > 1:
+                    if a < b and a in out.get(b, ()):
+                        violations.append(Violation(
+                            "AsymmetryBreach", (p, a, b),
+                            (Rel(p, a, b), Rel(p, b, a))))
+        for p in sorted(self.props[Characteristic.FUNCTIONAL]):
+            for a, objs in sorted(self.rel_out.get(p, {}).items()):
+                if len(objs) > 1:
                     targets = tuple(sorted(objs))
                     violations.append(Violation(
                         "FunctionalFanout", (p, a) + targets,
                         tuple(Rel(p, a, b) for b in targets)))
-        for p in sorted(self.inverse_functional):
-            for (prop, b), subjs in sorted(self.rel_in.items()):
-                if prop == p and len(subjs) > 1:
+        for p in sorted(self.props[Characteristic.INVERSE_FUNCTIONAL]):
+            for b, subjs in sorted(self.rel_in.get(p, {}).items()):
+                if len(subjs) > 1:
                     sources = tuple(sorted(subjs))
                     violations.append(Violation(
                         "FunctionalFanout", (p, b) + sources,
@@ -310,9 +293,9 @@ def saturate(o: Ontology, strict: bool = False) -> InferredStore:
         base = _Engine(o, domain_range=False)
         base.seed()
         base.run()
-        for fact in sorted(engine.facts, key=str):
+        for fact in sorted(engine.derivations, key=str):
             der = engine.derivations[fact]
-            if der.rule in ("R5", "R6") and fact not in base.facts:
+            if der.rule in ("R5", "R6") and fact not in base.derivations:
                 violations.append(Violation(
                     "StrictDomainRange",
                     (fact.individual, fact.cls),
@@ -320,7 +303,7 @@ def saturate(o: Ontology, strict: bool = False) -> InferredStore:
     violations.sort(key=lambda v: (v.kind, tuple(map(str, v.involved))))
     return InferredStore(
         ontology=o,
-        facts=frozenset(engine.facts),
+        facts=frozenset(engine.derivations),
         derivations=engine.derivations,
         violations=tuple(violations),
         disjoint_pairs=frozenset(engine.disjoint_pairs),
@@ -375,41 +358,31 @@ def classify(store: InferredStore) -> Taxonomy:
     for f in store.facts:
         if isinstance(f, Sub) and f.sub in subs and f.sup in subs:
             subs[f.sub].add(f.sup)
-    # merge mutually subsuming classes into one node
-    group_of = {}
-    groups = []
+    # merge mutually subsuming classes; rep is the least, so it comes first
+    group, rep = {}, {}
     for c in classes:
-        if c in group_of:
-            continue
-        group = {c} | {d for d in subs[c] if c in subs.get(d, ())}
-        for m in group:
-            group_of[m] = frozenset(group)
-        groups.append(frozenset(group))
-    rep = {g: min(g) for g in groups}
-    edges = {rep[g]: set() for g in groups}
+        if c not in group:
+            g = frozenset({c} | {d for d in subs[c] if c in subs[d]})
+            for m in g:
+                group[m], rep[m] = g, c
+    edges = {c: set() for c in classes if rep[c] == c}
     for c in classes:
         for d in subs[c]:
-            a, b = rep[group_of[c]], rep[group_of[d]]
-            if a != b:
-                edges[a].add(b)
+            if rep[c] != rep[d]:
+                edges[rep[c]].add(rep[d])
     # transitive reduction on the group DAG: Sub facts are closed under R1,
     # so the edges are too, and b is indirect iff it is above another super
-    direct = {}
-    for a, sups in edges.items():
-        direct[a] = {b for b in sups
-                     if not any(b in edges[c] for c in sups)}
     direct_supers = {}
     direct_subs = {c: set() for c in classes}
     for c in classes:
-        g = rep[group_of[c]]
+        sups = edges[rep[c]]
         direct_supers[c] = frozenset().union(
-            *[group_of[hrep] for hrep in direct[g]]) if direct[g] else frozenset()
-    for c in classes:
+            *[group[b] for b in sups if not any(b in edges[x] for x in sups)])
         for s in direct_supers[c]:
             direct_subs[s].add(c)
     return Taxonomy(
         direct_supers=direct_supers,
         direct_subs={c: frozenset(v) for c, v in direct_subs.items()},
-        merged_groups=tuple(sorted((g for g in groups if len(g) > 1),
-                                   key=sorted)),
+        merged_groups=tuple(sorted((group[c] for c in edges
+                                    if len(group[c]) > 1), key=sorted)),
     )
