@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from heapq import nsmallest
 from itertools import accumulate, chain, islice
 from math import exp, inf, lgamma
 from typing import NamedTuple, Optional
@@ -342,7 +343,7 @@ def phi_matrix(state: TopicModelState):
 
 def _ranked(row, n: int) -> list:
     """Ids of the ``n`` most probable words in ``row``; ties by word id."""
-    return sorted(range(len(row)), key=lambda w: (-row[w], w))[:n]
+    return nsmallest(n, range(len(row)), key=lambda w: (-row[w], w))
 
 
 def rank_words(phi, vocabulary, n: int):

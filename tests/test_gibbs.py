@@ -19,6 +19,7 @@ from ontomap.gibbs import (
     lda_gibbs,
     log_likelihood,
     phi_matrix,
+    rank_words,
     sample_branch,
     tag_topics,
     top_words,
@@ -148,6 +149,12 @@ def test_top_words_truncates_and_breaks_ties_by_word_id():
     assert len(tops[0]) == 3  # N > V truncates at V
     # w0 and w1 each occur once -> tie broken toward lower word id
     assert [w for w, _ in tops[0][:2]] == ["w0", "w1"]
+    # a three-way tie at 0.3 straddles the cut at n = 2; n runs up to V + 1
+    row = [0.1, 0.3, 0.2, 0.3, 0.1, 0.3]
+    vocab = tuple(f"w{i}" for i in range(len(row)))
+    want = ["w1", "w3", "w5", "w2", "w0", "w4"]
+    for n in (1, 2, 3, 4, 5, 6, 7):
+        assert [w for w, _ in rank_words([row], vocab, n)[0]] == want[:n]
 
 
 def test_tag_topics_scores_and_omits_zero():
