@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .constraints import ConstraintSet, _union_find
 
@@ -106,24 +107,28 @@ def maximal_cliques(n: int, edges: set) -> list:
     ``edges`` holds undirected pairs (a, b), a < b.  Cliques come out sorted,
     in lexicographic order.
     """
+    return sorted(_bron_kerbosch(n, edges))
+
+
+def _bron_kerbosch(n: int, edges: set):
+    """Yield the maximal cliques one at a time, each as a sorted tuple, so a
+    caller can stop once it has seen enough of them."""
     adj = {i: set() for i in range(n)}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    cliques = []
 
     def expand(r, p, x):
         if not p and not x:
-            cliques.append(tuple(sorted(r)))
+            yield tuple(sorted(r))
             return
         pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            yield from expand(r | {v}, p & adj[v], x & adj[v])
             p = p - {v}
             x = x | {v}
 
-    expand(set(), set(range(n)), set())
-    return sorted(cliques)
+    return expand(set(), set(range(n)), set())
 
 
 def build_forest(cs: ConstraintSet, vocabulary, beta: float = 0.01,
@@ -184,10 +189,13 @@ def build_forest(cs: ConstraintSet, vocabulary, beta: float = 0.01,
         comp_edges = {(i, j) for i in range(len(units))
                       for j in range(i + 1, len(units))
                       if (i, j) not in forbidden}
-        cliques = maximal_cliques(len(units), comp_edges)
+        # stop the enumeration one past the budget: a region's clique count
+        # can grow exponentially with its size
+        cliques = sorted(islice(_bron_kerbosch(len(units), comp_edges),
+                                max_cliques + 1))
         if len(cliques) > max_cliques:
             raise TooManyCliques(
-                f"region has {len(cliques)} branches (> {max_cliques}); "
+                f"region has more than {max_cliques} branches; "
                 f"thin the constraint set")
         regions.append(Region(
             component_ids=tuple(ids),

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,17 @@ def test_too_many_cliques():
                      max_cliques=8)
 
 
+
+def test_clique_budget_stops_the_enumeration():
+    # a cannot-link path of n words has about 1.32 ** n maximal cliques in
+    # its complement; at n = 60 enumerating them all would take hours
+    n = 60
+    path = [(i, i + 1) for i in range(n - 1)]
+    t = time.perf_counter()
+    with pytest.raises(TooManyCliques, match="more than 128 branches"):
+        build_forest(cs(cannot=path), tuple(f"v{i}" for i in range(n)))
+    assert time.perf_counter() - t < 5
+
 def test_hyperparameter_validation():
     with pytest.raises(ValueError):
         build_forest(cs(), VOCAB, beta=0.0)
@@ -131,4 +143,4 @@ def test_build_forest_pinned():
         index = f.sampling_index
         out.append((f.components, f.regions, index.comp_of, index.region_of))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "b5e6e977061b7f2f670ef53569985edbc0dd738cbd48d03eb5de33b7cb695885")
+        "024db02f1388dcddc9d84e37a0447b1edad64e485857ed333a54106b526898ee")
