@@ -64,6 +64,7 @@ class Sub:
 
 
 Fact = Union[IsA, Rel, Sub]
+_NONE = frozenset()
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ class _Engine:
     and ``sups_of[B]`` for ``Sub(A, B)``, ``isa_by_cls[C]`` for ``IsA(a, C)``,
     ``rel_out[p][a]`` and ``rel_in[p][b]`` for ``Rel(p, a, b)``.
     ``props[characteristic]`` holds the properties with that characteristic.
+    Every join iterates only the delta, the candidates whose consequence is
+    not yet a fact.  It is exact: a skipped ``add`` was a no-op, each ``add``
+    of a loop makes a different fact and so cannot make a later candidate new
+    or old, and each difference is taken where the full join took its sorted
+    snapshot.  Facts, derivations and queue order do not change.
     """
 
     def __init__(self, o: Ontology, domain_range: bool = True):
@@ -196,20 +202,22 @@ class _Engine:
 
     def _fire_sub(self, f: Sub):
         # R1: transitivity, both directions of the join
-        for x in sorted(self.sups_of.get(f.sub, ())):
+        for x in sorted(self.sups_of.get(f.sub, _NONE) - self.sups_of[f.sup]):
             if x != f.sup:
                 self.add(Sub(x, f.sup), "R1", (Sub(x, f.sub), f))
-        for y in sorted(self.subs_of.get(f.sup, ())):
+        for y in sorted(self.subs_of.get(f.sup, _NONE) - self.subs_of[f.sub]):
             if y != f.sub:
                 self.add(Sub(f.sub, y), "R1", (f, Sub(f.sup, y)))
         # R4 with existing memberships
-        for a in sorted(self.isa_by_cls.get(f.sub, ())):
+        isa = self.isa_by_cls
+        for a in sorted(isa.get(f.sub, _NONE) - isa.get(f.sup, _NONE)):
             self.add(IsA(a, f.sup), "R4", (IsA(a, f.sub), f))
 
     def _fire_isa(self, f: IsA):
         # R4 with existing subsumptions
         for b in sorted(self.subs_of.get(f.cls, ())):
-            self.add(IsA(f.individual, b), "R4", (f, Sub(f.cls, b)))
+            if f.individual not in self.isa_by_cls.get(b, ()):
+                self.add(IsA(f.individual, b), "R4", (f, Sub(f.cls, b)))
 
     def _fire_rel(self, f: Rel):
         p, a, b = f.prop, f.subject, f.object
@@ -225,9 +233,10 @@ class _Engine:
         if p in self.props[Characteristic.SYMMETRIC]:
             self.add(Rel(p, b, a), "R8", (f,))
         if p in self.props[Characteristic.TRANSITIVE]:
-            for c in sorted(self.rel_out[p].get(b, ())):
+            out, into = self.rel_out[p], self.rel_in[p]
+            for c in sorted(out.get(b, _NONE) - out[a]):
                 self.add(Rel(p, a, c), "R9", (f, Rel(p, b, c)))
-            for x in sorted(self.rel_in[p].get(a, ())):
+            for x in sorted(into.get(a, _NONE) - into[b]):
                 self.add(Rel(p, x, b), "R9", (Rel(p, x, a), f))
         for q in sorted(self.superprops.get(p, ())):
             self.add(Rel(q, a, b), "R10", (f,))
@@ -325,22 +334,28 @@ class ExplanationNode:
     premises: tuple
 
     def leaves(self):
-        if not self.premises:
-            return (self,)
-        out = []
-        for p in self.premises:
-            out.extend(p.leaves())
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            stack.extend(reversed(node.premises))
+            if not node.premises:
+                out.append(node)
         return tuple(out)
 
 
 def explain(store: InferredStore, fact: Fact) -> ExplanationNode:
-    """Derivation tree for ``fact``; leaves carry no premises."""
+    """Derivation tree for ``fact`` (no recursion); leaves have no premises."""
     if fact not in store.facts:
         raise UnknownFact(str(fact))
-    der = store.derivations[fact]
-    return ExplanationNode(
-        fact, der.rule,
-        tuple(explain(store, p) for p in der.premises))
+    nodes, stack = {}, [fact]
+    while stack:
+        der = store.derivations[stack[-1]]
+        todo = [p for p in der.premises if p not in nodes]
+        stack.extend(todo)
+        if not todo:  # a fact shared in the DAG keeps its first node
+            nodes.setdefault(stack.pop(), ExplanationNode(
+                der.fact, der.rule, tuple(nodes[p] for p in der.premises)))
+    return nodes[fact]
 
 
 @dataclass(frozen=True)
@@ -377,7 +392,7 @@ def classify(store: InferredStore) -> Taxonomy:
     for c in classes:
         sups = edges[rep[c]]
         direct_supers[c] = frozenset().union(
-            *[group[b] for b in sups if not any(b in edges[x] for x in sups)])
+            *[group[b] for b in sups.difference(*[edges[x] for x in sups])])
         for s in direct_supers[c]:
             direct_subs[s].add(c)
     return Taxonomy(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import naive_closure, random_ontology, random_reasoner_ontology
 from ontomap.model import (
     Characteristic,
     ClassAssertion,
+    DisjointClasses,
     EntityKind,
     InverseObjectProperties,
     Name,
@@ -21,6 +23,9 @@ from ontomap.model import (
     add_axiom,
 )
 from ontomap.reasoner import (
+    Derivation,
+    ExplanationNode,
+    InferredStore,
     IsA,
     Rel,
     Sub,
@@ -223,7 +228,6 @@ def test_functional_fanout():
 
 
 def test_unsatisfiable_class():
-    from ontomap.model import DisjointClasses
     o = tiny(classes=["A", "B", "X"],
              axioms=[DisjointClasses((N("A"), N("B"))),
                      SubClassOf(N("X"), N("A")), SubClassOf(N("X"), N("B"))])
@@ -252,6 +256,107 @@ def test_matches_naive_oracle_small_batch():
     for _ in range(40):
         o = random_reasoner_ontology(rnd)
         assert saturate(o).facts == naive_closure(o)
+
+
+# --- deep inputs: the joins stay exact and polynomial in depth --------------
+
+
+def chain(n, members=()):
+    """``C{i} < C{i-1}`` for 0 < i < n, an individual ``a{k}`` in each
+    ``C{k}`` of ``members``, and the chain's ends disjoint."""
+    classes = [f"C{i}" for i in range(n)]
+    axioms = [SubClassOf(N(classes[i]), N(classes[i - 1]))
+              for i in range(1, n)]
+    axioms += [ClassAssertion(N(classes[k]), N(f"a{k}")) for k in members]
+    axioms.append(DisjointClasses((N(classes[0]), N(classes[-1]))))
+    return tiny(classes=classes, individuals=[f"a{k}" for k in members],
+                axioms=axioms)
+
+
+def binary_tree(depth):
+    """Classes ``T1..T(2^(depth+1)-1)`` with ``T{i} < T{i//2}``, and an
+    individual in every seventh leaf."""
+    ids = range(1, 2 ** (depth + 1))
+    leaves = range(2 ** depth, 2 ** (depth + 1), 7)
+    axioms = [SubClassOf(N(f"T{i}"), N(f"T{i // 2}")) for i in ids if i > 1]
+    axioms += [ClassAssertion(N(f"T{i}"), N(f"t{i}")) for i in leaves]
+    return tiny(classes=[f"T{i}" for i in ids],
+                individuals=[f"t{i}" for i in leaves], axioms=axioms)
+
+
+def transitive_path(n):
+    """``p`` transitive over the path ``i0 -> i1 -> ... -> i{n-1}``."""
+    axioms = [PropertyCharacteristic(N("p"), Characteristic.TRANSITIVE)]
+    axioms += [ObjectPropertyAssertion(N("p"), N(f"i{k}"), N(f"i{k + 1}"))
+               for k in range(n - 1)]
+    return tiny(props=["p"], individuals=[f"i{k}" for k in range(n)],
+                axioms=axioms)
+
+
+@pytest.mark.parametrize("o", [chain(50, (0, 7, 25, 49)), binary_tree(6),
+                               transitive_path(40)],
+                         ids=["chain50", "tree6", "transitive40"])
+def test_matches_naive_oracle_on_deep_inputs(o):
+    assert saturate(o).facts == naive_closure(o)
+
+
+def test_saturate_and_classify_a_300_class_chain_within_6_s():
+    # a join of each new Sub fact with every class above and below it is
+    # cubic in the chain's length and misses this bound by about ten times
+    o = chain(300)
+    start = time.perf_counter()
+    store = saturate(o)
+    tax = classify(store)
+    elapsed = time.perf_counter() - start
+    assert sum(isinstance(f, Sub) for f in store.facts) == 300 * 299 // 2
+    assert all(tax.direct_supers[N(f"C{i}")] == {N(f"C{i - 1}")}
+               for i in range(1, 300))
+    assert elapsed < 6, elapsed
+
+
+def _explain_recursively(store, fact):
+    der = store.derivations[fact]
+    return ExplanationNode(fact, der.rule, tuple(
+        _explain_recursively(store, p) for p in der.premises))
+
+
+def _leaves_recursively(node):
+    if not node.premises:
+        return [node]
+    return [leaf for p in node.premises for leaf in _leaves_recursively(p)]
+
+
+def test_explain_and_leaves_match_their_recursive_definitions():
+    for seed in range(30):
+        store = saturate(random_reasoner_ontology(random.Random(seed)))
+        for fact in store.facts:
+            node = explain(store, fact)
+            assert node == _explain_recursively(store, fact)
+            assert list(node.leaves()) == _leaves_recursively(node)
+
+
+def test_explain_and_leaves_on_a_derivation_5000_levels_deep():
+    # Sub(Ci, C0) follows from Sub(Ci, Ci-1) and Sub(Ci-1, C0); the tree
+    # is far deeper than the interpreter's recursion limit
+    depth = 5000
+    steps = [Sub(N(f"C{i}"), N(f"C{i - 1}")) for i in range(1, depth + 1)]
+    derivations = {f: Derivation(f, "asserted", ()) for f in steps}
+    below = steps[0]
+    for step in steps[1:]:
+        fact = Sub(step.sub, N("C0"))
+        derivations[fact] = Derivation(fact, "R1", (step, below))
+        below = fact
+    store = InferredStore(ontology=tiny(), facts=frozenset(derivations),
+                          derivations=derivations, violations=(),
+                          disjoint_pairs=frozenset(), isa_by_cls={})
+    root = node = explain(store, below)
+    for i in range(depth, 1, -1):
+        assert (node.fact, node.rule) == (Sub(N(f"C{i}"), N("C0")), "R1")
+        step, node = node.premises
+        assert (step.fact, step.rule, step.premises) == (
+            steps[i - 1], "asserted", ())
+    assert (node.fact, node.rule, node.premises) == (steps[0], "asserted", ())
+    assert [leaf.fact for leaf in root.leaves()] == steps[::-1]
 
 
 # --- digest guard over derivations, violations and the taxonomy -------------
