@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -236,3 +238,96 @@ def test_slot_and_arity_diagnostics_pin_messages_and_spans():
         ("error:28:14:unterminated:unterminated Ontology(...) block", 0),
     ]
 
+
+
+def test_lexical_diagnostics_pin_messages_and_spans():
+    # an unterminated string or IRI skips the rest of its line, so the next
+    # token read is the first one on the following line
+    cases = [
+        (HEADER +
+         "Declaration(DataProperty(:d))\nDeclaration(NamedIndividual(:x))\n"
+         'DataPropertyAssertion(:d :x "oops) (\n  Declaration(Class(:A))\n)\n',
+         [("error:5:29:unterminated:unterminated string literal", 1),
+          ("error:6:3:syntax:expected literal, found 'Declaration'", 11),
+          ("error:8:1:unterminated:unterminated Ontology(...) block", 0)]),
+        (HEADER +
+         "Declaration(DataProperty(:d))\nDeclaration(NamedIndividual(:x))\n"
+         'DataPropertyAssertion(:d :x "oops',
+         [("error:5:29:unterminated:unterminated string literal", 1),
+          ("error:5:34:syntax:expected literal, found 'end of file'", 0),
+          ("error:5:34:unterminated:unterminated Ontology(...) block", 0)]),
+        ("Prefix(ex:=<a b>)\n" + HEADER +
+         "Declaration(Class(:A))\nSubClassOf(:A <a b> :A)\n"
+         "  Declaration(Class(:B))\n)\n",
+         [("error:1:12:unterminated:unterminated IRI", 1),
+          ("error:5:15:unterminated:unterminated IRI", 1),
+          ("error:2:1:syntax:expected prefix IRI, found 'Prefix'", 6),
+          ("error:6:3:syntax:expected class expression, "
+           "found keyword 'Declaration'", 11),
+          ("error:8:1:unterminated:unterminated Ontology(...) block", 0)]),
+        (HEADER + "Declaration(Class(:A))\x01\nSubClassOf(:A é :A)!\n)\n",
+         [("error:3:23:syntax:unexpected character '\\x01'", 1),
+          ("error:4:15:syntax:unexpected character 'é'", 1),
+          ("error:4:20:syntax:unexpected character '!'", 1)]),
+    ]
+    for text, expected in cases:
+        result = ofn.parse(text)
+        assert result.ontology is None
+        assert [(str(d), d.span.length)
+                for d in result.diagnostics] == expected, text
+
+
+_MUTANT_CHARS = '"<>()#=:^\\ \n\t\x01é!aZ_-.'
+_MUTANT_LINES = ("  ", "\t\n\n", '# ( "<é\n', "#\n  ")
+
+
+def _mutate(rnd, text):
+    """``text`` after one to three random edits: blank space or a comment
+    at the start of a line, inserted characters that the tokenizer treats
+    specially, deleted or copied runs, or a cut."""
+    for _ in range(rnd.randint(1, 3)):
+        i = rnd.randrange(len(text) + 1)
+        op = rnd.randrange(10)
+        if op < 3:
+            i = text.find("\n", i) + 1
+            text = text[:i] + rnd.choice(_MUTANT_LINES) + text[i:]
+        elif op < 6:
+            text = text[:i] + rnd.choice(_MUTANT_CHARS) + text[i:]
+        elif op < 8:
+            text = text[:i] + text[i + rnd.randint(1, 8):]
+        elif op == 8:
+            j = rnd.randrange(len(text) + 1)
+            text = text[:i] + text[j:j + rnd.randint(1, 12)] + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def test_parse_of_mutated_inputs_pinned(fixture_path):
+    # every diagnostic with its span length, the axioms in order and the
+    # serialized ontology of 300 seeded mutants
+    fixture = fixture_path.read_text(encoding="utf-8")
+    texts = [fixture] * 150
+    texts += [ofn.serialize(random_ontology(random.Random(s)))
+              for s in range(150)]
+    out = []
+    for seed, text in enumerate(texts):
+        result = ofn.parse(_mutate(random.Random(seed), text))
+        out.append([(str(d), d.span.length) for d in result.diagnostics])
+        if result.ontology is not None:
+            out.append([repr(ax) for ax in result.ontology.axioms])
+            out.append(ofn.serialize(result.ontology))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "b4b9ae68543d9f195556b1ac694f2d5299e4cb21a56315af567d260c626de69d")
+
+
+def test_tokenizer_is_linear_on_long_runs_of_skipped_text():
+    # whitespace and comments folded into a token's match must not
+    # backtrack, whatever follows them
+    runs = [" " * 50_000, "#\n" * 25_000, "# a b c\n" * 6_250]
+    start = time.perf_counter()
+    for run in runs:
+        for text in (run + "\x01", run, "Ontology(" + run):
+            assert ofn.parse(text).errors
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, elapsed
