@@ -13,8 +13,12 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-LOCAL_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
-PREFIX_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_.-]*)?\Z")
+# the name syntax, shared with the parser's tokenizer: a prefix is empty or
+# matches PREFIX_PATTERN (so do keywords), a local name LOCAL_NAME_PATTERN
+PREFIX_PATTERN = r"[A-Za-z_][A-Za-z0-9_.-]*"
+LOCAL_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_-]*"
+PREFIX_RE = re.compile(rf"(?:{PREFIX_PATTERN})?\Z")
+LOCAL_NAME_RE = re.compile(rf"{LOCAL_NAME_PATTERN}\Z")
 
 DATATYPES = ("xsd:string", "xsd:integer", "xsd:decimal", "xsd:boolean")
 

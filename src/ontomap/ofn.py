@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     AXIOM_KEYWORDS,
@@ -24,8 +24,10 @@ from .model import (
     KindMismatch,
     Label,
     Literal,
+    LOCAL_NAME_PATTERN,
     Name,
     Ontology,
+    PREFIX_PATTERN,
     UndeclaredEntity,
     UnionOf,
     axiom_keyword,
@@ -69,28 +71,35 @@ class _Halt(Exception):
     """Internal: abandon the current top-level axiom and resynchronize."""
 
 
+# One match per token.  The skip in front folds whitespace and comments into
+# the match, so a token is read from its group.  The skip cannot backtrack:
+# where it stops, the next character is neither whitespace nor ``#`` (which
+# always starts a comment), so ``bad`` or ``eof`` matches there.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<eq>=)
-      | (?P<dcaret>\^\^)
+    rf"""(?:\s+|\#[^\n]*)*
+    (?: (?P<lparen>\() | (?P<rparen>\)) | (?P<eq>=) | (?P<dcaret>\^\^)
       | (?P<iri><[^<>\s]*>)
       | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<name>(?:[A-Za-z_][A-Za-z0-9_.-]*)?:(?:[A-Za-z_][A-Za-z0-9_-]*)?
-                 |[A-Za-z_][A-Za-z0-9_.-]*)
+      | (?P<name>(?:{PREFIX_PATTERN})?:(?:{LOCAL_NAME_PATTERN})?
+                 |{PREFIX_PATTERN})
+      | (?P<open_string>")[^\n]*\n? | (?P<open_iri><)[^\n]*\n?
+      | (?P<bad>.) | (?P<eof>\Z))
     """,
     re.VERBOSE,
 )
 
+# lexical error kinds, each one character long: code and message
+_LEXICAL_ERRORS = {
+    "open_string": ("unterminated", "unterminated string literal"),
+    "open_iri": ("unterminated", "unterminated IRI"),
+    "bad": ("syntax", "unexpected character {!r}"),
+}
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # lparen rparen eq dcaret iri string name eof
     text: str
     pos: int
-    length: int
 
 
 def _unescape(raw: str) -> str:
@@ -103,58 +112,38 @@ def _escape(s: str) -> str:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.diagnostics: list[ParseDiagnostic] = []
         self.line_starts = [0] + [m.end() for m in re.finditer(r"\n", text)]
-        self.tokens = self._tokenize()
+        self.tokens = self._tokenize(text)
         self.i = 0
         self.depth = 0
         self.prefixes: dict[str, str] = {}
         self.declarations: set[tuple[Name, EntityKind]] = set()
         self.axioms: list[Axiom] = []
-        self._axiom_set: set[Axiom] = set()
-        # (name, required kind, span) checked once declarations are known
-        self.references: list[tuple[Name, Optional[EntityKind], SourceSpan]] = []
+        # (name, required kind, token) checked once declarations are known
+        self.references: list[tuple[Name, Optional[EntityKind], _Token]] = []
         self.ontology_id = ""
 
     # -- low-level machinery --
 
-    def _span(self, pos: int, length: int) -> SourceSpan:
-        line = bisect_right(self.line_starts, pos)
-        col = pos - self.line_starts[line - 1] + 1
-        return SourceSpan(line, col, length)
-
     def _tok_span(self, tok: _Token) -> SourceSpan:
-        return self._span(tok.pos, tok.length)
+        line = bisect_right(self.line_starts, tok.pos)
+        col = tok.pos - self.line_starts[line - 1] + 1
+        return SourceSpan(line, col, len(tok.text))
 
-    def _tokenize(self) -> list[_Token]:
+    def _tokenize(self, text: str) -> list[_Token]:
         toks = []
-        pos = 0
-        n = len(self.text)
-        while pos < n:
-            m = _TOKEN_RE.match(self.text, pos)
-            if m is None:
-                ch = self.text[pos]
-                if ch == '"':
-                    self._diag("error", self._span(pos, 1), "unterminated",
-                               "unterminated string literal")
-                    eol = self.text.find("\n", pos)
-                    pos = n if eol < 0 else eol + 1
-                elif ch == "<":
-                    self._diag("error", self._span(pos, 1), "unterminated",
-                               "unterminated IRI")
-                    eol = self.text.find("\n", pos)
-                    pos = n if eol < 0 else eol + 1
-                else:
-                    self._diag("error", self._span(pos, 1), "syntax",
-                               f"unexpected character {ch!r}")
-                    pos += 1
-                continue
+        for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
-            if kind not in ("ws", "comment"):
-                toks.append(_Token(kind, m.group(), m.start(), m.end() - m.start()))
-            pos = m.end()
-        toks.append(_Token("eof", "", n, 0))
+            tok = _Token(kind, m.group(kind), m.start(kind))
+            if kind in _LEXICAL_ERRORS:
+                code, message = _LEXICAL_ERRORS[kind]
+                self._diag("error", self._tok_span(tok), code,
+                           message.format(tok.text))
+                continue
+            toks.append(tok)
+            if kind == "eof":  # a match after trailing space is another eof
+                break
         return toks
 
     def _diag(self, severity, span, code, message):
@@ -204,7 +193,7 @@ class _Parser:
 
     # -- leaf productions --
 
-    def parse_name(self, what="entity name") -> tuple[Name, SourceSpan]:
+    def parse_name(self, what="entity name") -> tuple[Name, _Token]:
         tok = self.expect("name", what)
         if ":" not in tok.text:
             self._diag("error", self._tok_span(tok), "syntax",
@@ -215,11 +204,11 @@ class _Parser:
             self._diag("error", self._tok_span(tok), "syntax",
                        f"expected {what}, found bare prefix {tok.text!r}")
             raise _Halt()
-        return Name(prefix, local), self._tok_span(tok)
+        return Name(prefix, local), tok
 
     def parse_ref(self, kind: Optional[EntityKind], what="entity name") -> Name:
-        name, span = self.parse_name(what)
-        self.references.append((name, kind, span))
+        name, tok = self.parse_name(what)
+        self.references.append((name, kind, tok))
         return name
 
     def parse_class_names(self) -> list[Name]:
@@ -362,9 +351,8 @@ class _Parser:
                        f"annotation property {prop.text!r} is not preserved")
             ax = None
         self._close_axiom(tok)
-        if ax is not None and ax not in self._axiom_set:
+        if ax is not None:
             self.axioms.append(ax)
-            self._axiom_set.add(ax)
 
     def parse_declaration(self):
         self.expect("lparen", "'('")
@@ -375,7 +363,7 @@ class _Parser:
                        f"unknown declaration kind {kind_tok.text!r}")
             raise _Halt()
         self.expect("lparen", "'('")
-        name, _span = self.parse_name()
+        name, _tok = self.parse_name()
         self.expect("rparen", "')'")
         self.expect("rparen", "')'")
         self.declarations.add((name, kind))
@@ -386,16 +374,16 @@ class _Parser:
         onto = Ontology(
             ontology_id=self.ontology_id,
             declarations=frozenset(self.declarations),
-            axioms=tuple(self.axioms),
+            axioms=tuple(dict.fromkeys(self.axioms)),  # first occurrences
             prefixes=tuple(sorted(self.prefixes.items())),
         )
-        for name, kind, span in self.references:
+        for name, kind, tok in self.references:
             try:
                 check_reference(onto, name, kind)
             except (UndeclaredEntity, KindMismatch) as error:
                 code = ("undeclared" if isinstance(error, UndeclaredEntity)
                         else "kind-mismatch")
-                self._diag("error", span, code, str(error))
+                self._diag("error", self._tok_span(tok), code, str(error))
         diagnostics = tuple(self.diagnostics)
         if any(d.severity == "error" for d in diagnostics):
             return ParseResult(None, diagnostics)

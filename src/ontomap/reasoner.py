@@ -89,6 +89,7 @@ class InferredStore:
     violations: tuple
     disjoint_pairs: frozenset  # of (Name, Name), sorted pairs
     isa_by_cls: dict           # class -> set of its member individuals
+    subs_of: dict              # class -> set of its superclasses (Sub facts)
 
 
 class UnknownFact(Exception):
@@ -317,6 +318,7 @@ def saturate(o: Ontology, strict: bool = False) -> InferredStore:
         violations=tuple(violations),
         disjoint_pairs=frozenset(engine.disjoint_pairs),
         isa_by_cls=engine.isa_by_cls,
+        subs_of=engine.subs_of,
     )
 
 
@@ -329,9 +331,46 @@ def instances_of(store: InferredStore, c: Name) -> frozenset:
 
 @dataclass(frozen=True)
 class ExplanationNode:
+    """A fact, its rule and the nodes of its premises.  ``==`` and ``repr``
+    give what the generated methods give, but walk with a stack, so a tree of
+    any depth compares and prints.  The hash reads the premises' facts."""
+
     fact: Fact
     rule: str
     premises: tuple
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (a.fact, a.rule, len(a.premises)) != (
+                    b.fact, b.rule, len(b.premises)):
+                return False
+            stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self):
+        return hash((self.fact, self.rule,
+                     tuple(p.fact for p in self.premises)))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [f"{type(item).__qualname__}(fact={item.fact!r}, "
+                     f"rule={item.rule!r}, premises=("]
+            for i, p in enumerate(item.premises):
+                parts += [", ", p] if i else [p]
+            parts.append(",))" if len(item.premises) == 1 else "))")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
     def leaves(self):
         out, stack = [], [self]
@@ -369,10 +408,8 @@ class Taxonomy:
 
 def classify(store: InferredStore) -> Taxonomy:
     classes = sorted(store.ontology.names_of_kind(EntityKind.CLASS))
-    subs = {c: set() for c in classes}
-    for f in store.facts:
-        if isinstance(f, Sub) and f.sub in subs and f.sup in subs:
-            subs[f.sub].add(f.sup)
+    declared = set(classes)
+    subs = {c: declared.intersection(store.subs_of.get(c, ())) for c in classes}
     # merge mutually subsuming classes; rep is the least, so it comes first
     group, rep = {}, {}
     for c in classes:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -335,6 +336,39 @@ def test_explain_and_leaves_match_their_recursive_definitions():
             assert list(node.leaves()) == _leaves_recursively(node)
 
 
+@dataclass(frozen=True)
+class _GeneratedNode:
+    """ExplanationNode's fields with the methods that dataclass generates."""
+
+    __qualname__ = "ExplanationNode"
+    fact: object
+    rule: str
+    premises: tuple
+
+
+def _generated(node):
+    return _GeneratedNode(node.fact, node.rule,
+                          tuple(_generated(p) for p in node.premises))
+
+
+def test_explanation_eq_repr_and_hash_match_the_generated_methods():
+    for seed in range(10):
+        store = saturate(random_reasoner_ontology(random.Random(seed)))
+        facts = sorted(store.facts, key=str)
+        nodes = [explain(store, f) for f in facts]
+        twins = [_generated(n) for n in nodes]
+        for node, twin, fact in zip(nodes, twins, facts):
+            assert repr(node) == repr(twin)
+            again = explain(store, fact)
+            assert node == again and not node != again
+            assert hash(node) == hash(again)
+        rnd = random.Random(seed)
+        for _ in range(50):
+            i, j = rnd.randrange(len(nodes)), rnd.randrange(len(nodes))
+            assert (nodes[i] == nodes[j]) == (twins[i] == twins[j])
+    assert ExplanationNode(Sub(N("A"), N("B")), "asserted", ()) != "x"
+
+
 def test_explain_and_leaves_on_a_derivation_5000_levels_deep():
     # Sub(Ci, C0) follows from Sub(Ci, Ci-1) and Sub(Ci-1, C0); the tree
     # is far deeper than the interpreter's recursion limit
@@ -348,7 +382,8 @@ def test_explain_and_leaves_on_a_derivation_5000_levels_deep():
         below = fact
     store = InferredStore(ontology=tiny(), facts=frozenset(derivations),
                           derivations=derivations, violations=(),
-                          disjoint_pairs=frozenset(), isa_by_cls={})
+                          disjoint_pairs=frozenset(), isa_by_cls={},
+                          subs_of={})
     root = node = explain(store, below)
     for i in range(depth, 1, -1):
         assert (node.fact, node.rule) == (Sub(N(f"C{i}"), N("C0")), "R1")
@@ -357,6 +392,12 @@ def test_explain_and_leaves_on_a_derivation_5000_levels_deep():
             steps[i - 1], "asserted", ())
     assert (node.fact, node.rule, node.premises) == (steps[0], "asserted", ())
     assert [leaf.fact for leaf in root.leaves()] == steps[::-1]
+    # comparing, hashing and printing walk the whole tree without recursion
+    again = explain(store, below)
+    assert root == again and hash(root) == hash(again)
+    assert repr(root).count("ExplanationNode(") == 2 * depth - 1
+    derivations[steps[0]] = Derivation(steps[0], "R2", ())
+    assert root != explain(store, below)
 
 
 # --- digest guard over derivations, violations and the taxonomy -------------
