@@ -14,7 +14,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 # the name syntax, shared with the parser's tokenizer: a prefix is empty or
-# matches PREFIX_PATTERN (so do keywords), a local name LOCAL_NAME_PATTERN
+# matches PREFIX_PATTERN, as keywords do; a local name matches
+# LOCAL_NAME_PATTERN
 PREFIX_PATTERN = r"[A-Za-z_][A-Za-z0-9_.-]*"
 LOCAL_NAME_PATTERN = r"[A-Za-z_][A-Za-z0-9_-]*"
 PREFIX_RE = re.compile(rf"(?:{PREFIX_PATTERN})?\Z")

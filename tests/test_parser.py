@@ -239,7 +239,6 @@ def test_slot_and_arity_diagnostics_pin_messages_and_spans():
     ]
 
 
-
 def test_lexical_diagnostics_pin_messages_and_spans():
     # an unterminated string or IRI skips the rest of its line, so the next
     # token read is the first one on the following line
