@@ -1,7 +1,7 @@
 import hashlib
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from ontomap.model import (
     Name,
     ObjectPropertyAssertion,
     ObjectPropertyDomain,
+    ObjectPropertyRange,
     Ontology,
     PropertyCharacteristic,
     SubClassOf,
@@ -31,6 +32,7 @@ from ontomap.reasoner import (
     Rel,
     Sub,
     UnknownFact,
+    Violation,
     classify,
     explain,
     instances_of,
@@ -247,6 +249,27 @@ def test_strict_mode_flags_unentailed_domain_memberships():
     # membership also asserted -> entailed without the domain rule -> clean
     o2 = add_axiom(o, ClassAssertion(N("A"), N("x")))
     assert saturate(o2, strict=True).violations == ()
+
+
+def test_strict_violations_are_the_domain_range_facts_the_oracle_lacks():
+    # the oracle closes each ontology again with its domain and range
+    # axioms removed; strict mode flags exactly the R5/R6 facts it lacks
+    ontologies = [random_reasoner_ontology(random.Random(s))
+                  for s in range(100)]
+    ontologies += [random_ontology(random.Random(s)) for s in range(100)]
+    for o in ontologies:
+        store = saturate(o, strict=True)
+        base = naive_closure(replace(o, axioms=tuple(
+            ax for ax in o.axioms if not isinstance(
+                ax, (ObjectPropertyDomain, ObjectPropertyRange)))))
+        expected = sorted(
+            (Violation("StrictDomainRange", (f.individual, f.cls),
+                       d.premises + (f,))
+             for f, d in store.derivations.items()
+             if d.rule in ("R5", "R6") and f not in base),
+            key=lambda v: tuple(map(str, v.involved)))
+        assert [v for v in store.violations
+                if v.kind == "StrictDomainRange"] == expected
 
 
 # --- oracle spot check (full 500-run sweep lives in the acceptance tests) ---
