@@ -3,14 +3,15 @@
 
 Builds the graph of classes (subclass edges plus property domain->range
 edges), runs seeded Louvain community detection, reports the modularity of
-the partition, and writes GraphML / DOT / node-link JSON exports next to
-this script.
+the partition, and writes GraphML / DOT / node-link JSON exports to a fresh
+temporary directory, whose path it prints.
 
 Run from the repository root:
 
     python3 demos/02_concept_graph_clusters.py
 """
 
+import tempfile
 from pathlib import Path
 
 from ontomap import (
@@ -22,8 +23,7 @@ from ontomap import (
     saturate,
 )
 
-HERE = Path(__file__).resolve().parent
-FIXTURE = HERE.parent / "fixtures" / "obesity-sample.ofn"
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "obesity-sample.ofn"
 
 
 def main():
@@ -43,10 +43,12 @@ def main():
     for cid in sorted(clusters):
         print(f"  cluster {cid}: {', '.join(clusters[cid])}")
 
+    outdir = Path(tempfile.mkdtemp(prefix="ontomap-demo-"))
+    print(f"writing exports to {outdir}")
     for fmt, filename in (("graphml", "concepts.graphml"),
                           ("dot", "concepts.dot"),
                           ("nodelink-json", "concepts.json")):
-        out = HERE / filename
+        out = outdir / filename
         out.write_bytes(export(graph, partition, format=fmt))
         print(f"wrote {out}")
 

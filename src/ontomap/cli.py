@@ -156,8 +156,7 @@ def _read_corpus(args, stderr):
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: malformed corpus {args.corpus}: {exc}", file=stderr)
         return None, 2
-    cfg = corpus_mod.IngestConfig(min_df=args.min_df)
-    return corpus_mod.ingest_corpus(records, cfg), 0
+    return corpus_mod.ingest_corpus(records, min_df=args.min_df), 0
 
 
 def _model_payload(state, corpus, lexicon, args, constrained):
@@ -221,7 +220,8 @@ def cmd_tag(args, stdout, stderr) -> int:
             raise ValueError("vocabulary is not a list of strings")
         for k, row in enumerate(phi):
             if not (isinstance(row, list) and len(row) == len(vocabulary)
-                    and all(isinstance(p, float) for p in row)):
+                    and all(isinstance(p, float) and math.isfinite(p)
+                            for p in row)):
                 raise ValueError(f"phi row {k} is not one float per word")
     except OSError as exc:
         print(f"error: cannot read {args.model}: {exc}", file=stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -22,18 +23,11 @@ where which while who whom why will with you your
 """.split())
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+MIN_TOKEN_LEN = 3
 
 
 class EmptyCorpus(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    stopwords: frozenset = DEFAULT_STOPWORDS
-    min_token_len: int = 3
-    min_df: int = 2
-    lowercase: bool = True
 
 
 @dataclass(frozen=True)
@@ -51,26 +45,21 @@ class Corpus:
         return sum(len(d) for d in self.documents)
 
 
-def tokenize(text: str, cfg: IngestConfig = IngestConfig()) -> list:
-    if cfg.lowercase:
-        text = text.lower()
-    return [t for t in _TOKEN_RE.findall(text)
-            if len(t) >= cfg.min_token_len and t not in cfg.stopwords]
+def tokenize(text: str) -> list:
+    return [t for t in _TOKEN_RE.findall(text.lower())
+            if len(t) >= MIN_TOKEN_LEN and t not in DEFAULT_STOPWORDS]
 
 
-def ingest_corpus(records, cfg: IngestConfig = IngestConfig()) -> Corpus:
+def ingest_corpus(records, min_df: int = 2) -> Corpus:
     """Build a corpus from (doc_id, text) records.
 
-    Tokens shorter than ``min_token_len``, stopwords, and words appearing in
+    Tokens shorter than ``MIN_TOKEN_LEN``, stopwords, and words appearing in
     fewer than ``min_df`` documents are dropped; documents emptied by
     filtering are dropped with a warning.
     """
-    tokenized = [(doc_id, tokenize(text, cfg)) for doc_id, text in records]
-    df: dict[str, int] = {}
-    for _, tokens in tokenized:
-        for w in set(tokens):
-            df[w] = df.get(w, 0) + 1
-    vocabulary = tuple(sorted(w for w, n in df.items() if n >= cfg.min_df))
+    tokenized = [(doc_id, tokenize(text)) for doc_id, text in records]
+    df = Counter(w for _, tokens in tokenized for w in set(tokens))
+    vocabulary = tuple(sorted(w for w, n in df.items() if n >= min_df))
     index = {w: i for i, w in enumerate(vocabulary)}
     documents = []
     doc_ids = []

@@ -75,10 +75,9 @@ def _validate(corpus: Corpus, K, alpha, beta, iters):
     if iters < 1:
         raise InvalidHyperparameter("iters must be >= 1")
     # the largest lgamma arguments of log_likelihood
-    n_tokens = sum(len(doc) for doc in corpus.documents)
     for x in (K * alpha, len(corpus.vocabulary) * beta):
         try:
-            if lgamma(x + n_tokens) < inf:
+            if lgamma(x + corpus.n_tokens) < inf:
                 continue
         except OverflowError:
             pass

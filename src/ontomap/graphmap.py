@@ -9,6 +9,7 @@ undirected weighted projection with a seeded, reproducible move order.
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Optional
@@ -290,6 +291,10 @@ PALETTE = (
 )
 
 
+# characters that XML 1.0 cannot carry, not even as character references
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _export_graphml(g, p) -> bytes:
     root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     keys = [("label", "node", "string"), ("kind", "node", "string"),
@@ -307,7 +312,7 @@ def _export_graphml(g, p) -> bytes:
         el = ET.SubElement(graph, "node", id=str(node.name))
         for name, value in (("label", node.label), ("kind", node.kind)):
             d = ET.SubElement(el, "data", key=key_id[(name, "node")])
-            d.text = value
+            d.text = _NOT_XML.sub("\ufffd", value)
         if p is not None:
             d = ET.SubElement(el, "data", key=key_id[("cluster", "node")])
             d.text = str(p.assignment[node.name])

@@ -84,12 +84,15 @@ class Violation:
 @dataclass(frozen=True)
 class InferredStore:
     ontology: Ontology
-    facts: frozenset
-    derivations: dict
+    derivations: dict          # fact -> its first derivation: the fact table
     violations: tuple
     disjoint_pairs: frozenset  # of (Name, Name), sorted pairs
     isa_by_cls: dict           # class -> set of its member individuals
     subs_of: dict              # class -> set of its superclasses (Sub facts)
+
+    @property
+    def facts(self):  # a read-only view of the fact table
+        return self.derivations.keys()
 
 
 class UnknownFact(Exception):
@@ -111,9 +114,8 @@ class _Engine:
     snapshot.  Facts, derivations and queue order do not change.
     """
 
-    def __init__(self, o: Ontology, domain_range: bool = True):
+    def __init__(self, o: Ontology):
         self.o = o
-        self.domain_range = domain_range
         self.derivations: dict = {}
         self.queue: deque = deque()
         self.subs_of: dict = {}
@@ -222,13 +224,12 @@ class _Engine:
 
     def _fire_rel(self, f: Rel):
         p, a, b = f.prop, f.subject, f.object
-        if self.domain_range:
-            dom = self.domain.get(p)
-            if dom is not None:
-                self.add(IsA(a, dom), "R5", (f,))
-            rng = self.range.get(p)
-            if rng is not None:
-                self.add(IsA(b, rng), "R6", (f,))
+        dom = self.domain.get(p)
+        if dom is not None:
+            self.add(IsA(a, dom), "R5", (f,))
+        rng = self.range.get(p)
+        if rng is not None:
+            self.add(IsA(b, rng), "R6", (f,))
         for q in sorted(self.inverse.get(p, ())):
             self.add(Rel(q, b, a), "R7", (f,))
         if p in self.props[Characteristic.SYMMETRIC]:
@@ -300,20 +301,25 @@ def saturate(o: Ontology, strict: bool = False) -> InferredStore:
     engine.run()
     violations = engine.collect_violations()
     if strict:
-        base = _Engine(o, domain_range=False)
-        base.seed()
-        base.run()
-        for fact in sorted(engine.derivations, key=str):
-            der = engine.derivations[fact]
-            if der.rule in ("R5", "R6") and fact not in base.derivations:
+        # Without R5/R6 an individual belongs to its asserted classes and
+        # their superclasses only: no rule deriving Sub or Rel reads IsA, and
+        # R4 is the only other rule deriving IsA.  So an R5/R6 fact IsA(a, C)
+        # is unentailed iff no asserted class of a lies below C (nor is C,
+        # else its rule would be "asserted"); no two share a sort key below.
+        asserted = {}
+        for ax in o.axioms:
+            if isinstance(ax, ClassAssertion) and isinstance(ax.cls, Name):
+                asserted.setdefault(ax.individual, set()).add(ax.cls)
+        for fact, der in engine.derivations.items():
+            if der.rule in ("R5", "R6") and asserted.get(
+                    fact.individual, _NONE).isdisjoint(
+                        engine.sups_of.get(fact.cls, _NONE)):
                 violations.append(Violation(
-                    "StrictDomainRange",
-                    (fact.individual, fact.cls),
+                    "StrictDomainRange", (fact.individual, fact.cls),
                     der.premises + (fact,)))
     violations.sort(key=lambda v: (v.kind, tuple(map(str, v.involved))))
     return InferredStore(
         ontology=o,
-        facts=frozenset(engine.derivations),
         derivations=engine.derivations,
         violations=tuple(violations),
         disjoint_pairs=frozenset(engine.disjoint_pairs),

@@ -209,7 +209,14 @@ def test_tag_model_without_phi_exit_2(fixture_path, tmp_path):
      "phi row 1 is not one float per word"),
     ('{"phi": [[0.5]], "vocabulary": [["a"]]}',
      "vocabulary is not a list of strings"),
-], ids=["short-row", "string-entry", "list-word"])
+    ('{"phi": [[0.5], [NaN]], "vocabulary": ["a"]}',
+     "phi row 1 is not one float per word"),
+    ('{"phi": [[Infinity, 0.5]], "vocabulary": ["a", "b"]}',
+     "phi row 0 is not one float per word"),
+    ('{"phi": [[0.5, -Infinity]], "vocabulary": ["a", "b"]}',
+     "phi row 0 is not one float per word"),
+], ids=["short-row", "string-entry", "list-word", "nan", "infinity",
+        "minus-infinity"])
 def test_tag_model_phi_not_matching_vocabulary_exit_2(fixture_path, tmp_path,
                                                       model, message):
     path = tmp_path / "model.json"

@@ -6,7 +6,7 @@ from ontomap.constraints import (
     constraints_to_json,
     derive_constraints,
 )
-from ontomap.corpus import DEFAULT_STOPWORDS, IngestConfig, ingest_corpus
+from ontomap.corpus import DEFAULT_STOPWORDS, ingest_corpus
 from ontomap.model import Name, build_lexicon
 
 

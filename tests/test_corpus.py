@@ -5,7 +5,6 @@ import pytest
 from ontomap.corpus import (
     Corpus,
     EmptyCorpus,
-    IngestConfig,
     ingest_corpus,
     read_records,
     tokenize,
@@ -16,15 +15,10 @@ def test_tokenize_lowercases_filters_short_and_stopwords():
     assert tokenize("The Body-Mass INDEX is 30!") == ["body", "mass", "index"]
 
 
-def test_tokenize_respects_config():
-    cfg = IngestConfig(stopwords=frozenset(), min_token_len=1, lowercase=False)
-    assert tokenize("A bc", cfg) == ["A", "bc"]
-
-
 def test_ingest_applies_min_df_and_drops_empty_docs():
     records = [("a", "obesity diet"), ("b", "obesity exercise"),
                ("c", "zzzunique")]
-    corpus = ingest_corpus(records, IngestConfig(min_df=2))
+    corpus = ingest_corpus(records, min_df=2)
     assert corpus.vocabulary == ("obesity",)
     assert corpus.doc_ids == ("a", "b")  # c emptied out and was dropped
     assert corpus.documents == ((0,), (0,))
@@ -38,7 +32,7 @@ def test_ingest_empty_corpus_raises():
 def test_vocab_sorted_and_ids_stable():
     records = [("a", "zebra apple zebra"), ("b", "apple zebra mango"),
                ("c", "mango apple")]
-    corpus = ingest_corpus(records, IngestConfig(min_df=2))
+    corpus = ingest_corpus(records, min_df=2)
     assert corpus.vocabulary == tuple(sorted(corpus.vocabulary))
     assert corpus.n_tokens == sum(len(d) for d in corpus.documents)
     assert corpus.vocab_index["apple"] == 0

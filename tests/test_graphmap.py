@@ -5,6 +5,7 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_best_partition, modularity_oracle, random_graph
 from ontomap.graphmap import (
@@ -236,6 +237,37 @@ def test_dot_quotes_any_label_text():
         labels = [m.group(1) for m in re.finditer(r'label=' + quoted.pattern,
                                                   text)]
         assert re.sub(r"\\(.)", r"\1", labels[0]) == label
+
+
+def _one_node_graph(label):
+    return ConceptGraph(nodes=(GraphNode(N("A"), "class", label),), edges=())
+
+
+def _graphml_label(data):
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    return ET.fromstring(data).find(f"{ns}graph/{ns}node/{ns}data").text
+
+
+def test_graphml_replaces_characters_xml_cannot_carry():
+    assert _graphml_label(export(_one_node_graph("bad\x01label\x0c"))) == (
+        "bad\ufffdlabel\ufffd")
+    bad = [chr(i) for i in range(0x20) if chr(i) not in "\t\n\r"]
+    bad += ["\ud800", "\udfff", "\ufffe", "\uffff"]
+    label = "a\t" + "".join(bad) + "\U0001f600"
+    assert _graphml_label(export(_one_node_graph(label))) == (
+        "a\t" + "\ufffd" * len(bad) + "\U0001f600")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(label=st.text(st.characters(exclude_characters="\n")))
+def test_any_label_exports_to_loadable_graphml_and_json(label):
+    g = _one_node_graph(label)
+    assert _graphml_label(export(g, None, "graphml")) == (
+        None if label == "" else
+        re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", "\ufffd",
+               label.replace("\r", "\n")))
+    assert json.loads(export(g, None, "nodelink-json"))["nodes"][0][
+        "label"] == label
 
 
 def test_nodelink_json_round_trips(fixture_store):

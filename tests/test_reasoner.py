@@ -403,8 +403,8 @@ def test_explain_and_leaves_on_a_derivation_5000_levels_deep():
         fact = Sub(step.sub, N("C0"))
         derivations[fact] = Derivation(fact, "R1", (step, below))
         below = fact
-    store = InferredStore(ontology=tiny(), facts=frozenset(derivations),
-                          derivations=derivations, violations=(),
+    store = InferredStore(ontology=tiny(), derivations=derivations,
+                          violations=(),
                           disjoint_pairs=frozenset(), isa_by_cls={},
                           subs_of={})
     root = node = explain(store, below)
