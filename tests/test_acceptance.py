@@ -9,11 +9,12 @@ constraint efficacy across many seeds, correctness of the branch sampler
 against a closed form, and a full CLI pipeline with schema-valid outputs.
 """
 
+import contextlib
+import io
 import json
 import math
 import random
-import subprocess
-import sys
+import runpy
 import time
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from ontomap.model import (
     ClassAssertion,
     Name,
     ObjectPropertyAssertion,
+    Ontology,
     add_axiom,
 )
 from ontomap.ofn import parse, serialize
@@ -58,7 +60,6 @@ def N(local):
 
 
 def run_cli(argv):
-    import io
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
@@ -116,16 +117,24 @@ def test_03_fixture_inferences_and_injected_violations(fixture_ontology,
 # --- 4: metrics parity with an independent counting script -------------------
 
 
-def test_04_metrics_command_matches_line_counting_script(fixture_path):
-    code, out, _ = run_cli(["metrics", str(fixture_path)])
-    assert code == 0
-    script = REPO_ROOT / "scripts" / "count_ofn.py"
-    proc = subprocess.run([sys.executable, str(script), str(fixture_path)],
-                          capture_output=True, text=True, check=True)
-    ours = cli.parse_metrics_text(out)
-    oracle = cli.parse_metrics_text(proc.stdout)
-    assert ours == oracle
-    assert out == proc.stdout
+def test_04_metrics_command_matches_line_counting_script(fixture_path,
+                                                        tmp_path):
+    count_ofn = runpy.run_path(str(REPO_ROOT / "scripts" / "count_ofn.py"))
+    rnd = random.Random(404)
+    paths = [fixture_path, tmp_path / "empty.ofn"]
+    paths[1].write_text(serialize(Ontology()), encoding="utf-8")
+    for i in range(100):
+        make = random_ontology if i % 2 else random_reasoner_ontology
+        path = tmp_path / f"random{i}.ofn"
+        path.write_text(serialize(make(rnd)), encoding="utf-8")
+        paths.append(path)
+    for path in paths:
+        code, out, _ = run_cli(["metrics", str(path)])
+        assert code == 0
+        oracle = io.StringIO()
+        with contextlib.redirect_stdout(oracle):
+            count_ofn["main"](str(path))
+        assert out == oracle.getvalue(), path
 
 
 # --- 5: clustering optimality, monotonicity, determinism ---------------------
