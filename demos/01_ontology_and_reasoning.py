@@ -36,7 +36,7 @@ def main():
     print(f"Loaded {onto.ontology_id}")
 
     print("\n-- structural metrics --")
-    for key, value in compute_metrics(onto).as_dict().items():
+    for key, value in compute_metrics(onto).items():
         print(f"  {key}: {value}")
 
     print("\n-- saturation --")

@@ -15,7 +15,6 @@ Run from the repository root:
 from pathlib import Path
 
 from ontomap import (
-    DEFAULT_STOPWORDS,
     build_forest,
     build_lexicon,
     derive_constraints,
@@ -49,7 +48,7 @@ def main():
           f"{len(corpus.vocabulary)} vocabulary words, "
           f"{corpus.n_tokens} tokens")
 
-    lexicon = build_lexicon(onto, DEFAULT_STOPWORDS)
+    lexicon = build_lexicon(onto)
     constraints = derive_constraints(onto, lexicon, corpus.vocabulary)
     print(f"{len(constraints.must_links)} must-links, "
           f"{len(constraints.cannot_links)} cannot-links from the ontology")

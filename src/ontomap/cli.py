@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -29,28 +30,15 @@ from . import corpus as corpus_mod
 from . import forest as forest_mod
 from . import gibbs as gibbs_mod
 from . import graphmap, ofn, reasoner
-from .model import MetricsReport, build_lexicon, compute_metrics
+from .model import build_lexicon, compute_metrics
 
 
 # --- metrics text format ----------------------------------------------------
 
 
-def format_metrics(report: MetricsReport) -> str:
-    rows = report.as_dict()
+def format_metrics(rows: dict) -> str:
     width = max(len(k) for k in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows.items()) + "\n"
-
-
-def parse_metrics_text(text: str) -> dict:
-    out = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.rstrip().rpartition("  ")
-        key = key.rstrip()
-        value = value.strip()
-        out[key] = int(value) if value.lstrip("-").isdigit() else value
-    return out
 
 
 # --- shared helpers ---------------------------------------------------------
@@ -194,7 +182,7 @@ def cmd_lda(args, stdout, stderr) -> int:
         o, code = _load_ontology(args.ontology, stderr)
         if code:
             return code
-        lexicon = build_lexicon(o, corpus_mod.DEFAULT_STOPWORDS)
+        lexicon = build_lexicon(o)
     alpha = args.alpha if args.alpha is not None else 50.0 / args.k
     if args.constrained:
         cs = constraints_mod.derive_constraints(o, lexicon, corpus.vocabulary)
@@ -232,7 +220,7 @@ def cmd_tag(args, stdout, stderr) -> int:
     o, code = _load_ontology(args.ontology, stderr)
     if code:
         return code
-    lexicon = build_lexicon(o, corpus_mod.DEFAULT_STOPWORDS)
+    lexicon = build_lexicon(o)
     tags = gibbs_mod.score_tags(phi, vocabulary, lexicon, args.top)
     tagged = [{"id": k, "tags": [[str(c), s] for c, s in scored]}
               for k, scored in enumerate(tags)]
@@ -323,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_COUNT, default=1000)
     p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--top", type=_COUNT, default=10)
-    p.add_argument("--min-df", type=int, default=2)
+    p.add_argument("--min-df", type=_COUNT, default=2)
     p.add_argument("--ontology", help="adds concept tags to the output")
     p.add_argument("--constrained", action="store_true",
                    help="derive constraints from --ontology and use the "
@@ -357,11 +345,19 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except _HelpRequested as exc:
         stdout.write(exc.args[0])
         return 0
+    # the package's warnings (a dropped document, a pruned constraint) go
+    # to this call's stderr
+    warnings = logging.StreamHandler(stderr)
+    warnings.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("ontomap")
+    logger.addHandler(warnings)
     try:
         return args.func(args, stdout, stderr)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=stderr)
         return _EXIT_CODES[type(exc)]
+    finally:
+        logger.removeHandler(warnings)
 
 
 def entrypoint():

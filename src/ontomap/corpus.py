@@ -10,8 +10,11 @@ from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
-# small english list; tokenization is deliberately simple (no stemming) so
-# that lexicon tokens and corpus tokens agree by construction
+# small english list; tokenization is deliberately simple (no stemming).
+# model.build_lexicon splits label text with _TOKEN_RE and drops these
+# stopwords too, but keeps tokens shorter than MIN_TOKEN_LEN (the "2" of
+# Type2Diabetes, the "en" and "y" of RouxEnYGastricBypass): those can never
+# be vocabulary words, yet they count in gibbs.score_tags' denominator
 DEFAULT_STOPWORDS = frozenset("""
 a about after all also an and any are as at be because been before being
 between both but by can could did do does down during each few for from
@@ -35,10 +38,6 @@ class Corpus:
     vocabulary: tuple        # word strings, index = word id, sorted
     documents: tuple         # per doc: tuple of word ids
     doc_ids: tuple
-
-    @property
-    def vocab_index(self) -> dict:
-        return {w: i for i, w in enumerate(self.vocabulary)}
 
     @property
     def n_tokens(self) -> int:

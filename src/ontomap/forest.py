@@ -53,13 +53,6 @@ class DirichletForest:
         """The sampler's static view of this forest, built once."""
         return SamplingIndex(self)
 
-    def component_of(self) -> dict:
-        out = {}
-        for i, comp in enumerate(self.components):
-            for w in comp:
-                out[w] = i
-        return out
-
 
 class SamplingIndex:
     """Static sampling structure derived from a DirichletForest."""
@@ -70,8 +63,10 @@ class SamplingIndex:
         self.eps_beta = eps * beta
         self.comp_size = [len(c) for c in forest.components]
         # per word: component and region id, -1 for none
-        comp_of = forest.component_of()
-        self.comp_of = [comp_of.get(w, -1) for w in range(forest.vocab_size)]
+        self.comp_of = [-1] * forest.vocab_size
+        for m, comp in enumerate(forest.components):
+            for w in comp:
+                self.comp_of[w] = m
         self.region_of = [-1] * forest.vocab_size
         for r, region in enumerate(forest.regions):
             for w in region.words:

@@ -1,7 +1,9 @@
 """Collapsed Gibbs samplers: plain LDA and the Dirichlet-forest variant.
 
-Both samplers share one kernel so that with a flat forest (no constraints)
-they consume randomness identically and produce bit-identical assignments.
+There is one sampler, ``dflda_gibbs``; plain LDA (``lda_gibbs``) is that
+sampler on a flat forest, where every word sits under the root with weight
+beta and the token step takes the flat form below.
+
 The RNG is numpy's PCG64 (a permuted-congruential generator); the seed fully
 determines every assignment and branch choice.  Changing the generator is a
 breaking change.  For n corpus tokens, one ``integers(K, size=n)`` draws
@@ -60,7 +62,7 @@ class TopicModelState:
     n_k: list               # per-topic totals
     seed: int
     iters: int
-    forest: Optional[DirichletForest] = None
+    forest: DirichletForest
     q: Optional[list] = None        # topic x region branch selections
     n_comp: Optional[list] = None   # topic x component counts
     n_region: Optional[list] = None # topic x region counts
@@ -87,9 +89,9 @@ def _validate(corpus: Corpus, K, alpha, beta, iters):
 
 def lda_gibbs(corpus: Corpus, K: int, alpha: float, beta: float,
               iters: int, seed: int) -> TopicModelState:
-    """Plain collapsed Gibbs LDA; exactly ``iters`` full sweeps."""
-    _validate(corpus, K, alpha, beta, iters)
-    return _run(corpus, None, K, alpha, beta, iters, seed)
+    """Plain collapsed Gibbs LDA: :func:`dflda_gibbs` on a flat forest."""
+    return dflda_gibbs(corpus, flat_forest(len(corpus.vocabulary), beta), K,
+                       alpha, iters, seed)
 
 
 def dflda_gibbs(corpus: Corpus, forest: DirichletForest, K: int, alpha: float,
@@ -102,13 +104,7 @@ def dflda_gibbs(corpus: Corpus, forest: DirichletForest, K: int, alpha: float,
         raise ForestVocabMismatch(
             f"forest built for {forest.vocab_size} words, corpus has "
             f"{len(corpus.vocabulary)}")
-    if forest.is_flat:
-        # exact algebraic reduction; also keeps the randomness stream
-        # identical to lda_gibbs
-        state = _run(corpus, None, K, alpha, forest.beta, iters, seed)
-        state.forest = forest
-        return state
-    return _run(corpus, forest, K, alpha, forest.beta, iters, seed)
+    return _run(corpus, forest, K, alpha, iters, seed)
 
 
 def _pick(cumulative, u):
@@ -159,7 +155,7 @@ def _init(docs, tree, K, V, rng) -> _Chain:
         q=np.zeros((K, R), np.int64))
 
 
-def _run(corpus, forest, K, alpha, beta, iters, seed):
+def _run(corpus, forest, K, alpha, iters, seed):
     # imported here, at the first sampler call: it loads subprocess and
     # hashlib, which ``import ontomap`` does not need
     from . import native
@@ -167,10 +163,11 @@ def _run(corpus, forest, K, alpha, beta, iters, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     V = len(corpus.vocabulary)
     docs = corpus.documents
+    beta = forest.beta
     # a flat index maps every word to component and region -1
-    tree = (forest or flat_forest(V, beta)).sampling_index
+    tree = forest.sampling_index
     s = _init(docs, tree, K, V, rng)
-    flat = forest is None
+    flat = forest.is_flat
     sweep = native.sweeper(tree, flat, K, alpha, beta, s) \
         or partial(_sweep, tree, flat, K, alpha, beta, s)
     n_regions = len(tree.region_gamma)
@@ -330,7 +327,7 @@ def phi_matrix(state: TopicModelState):
     beta = state.beta
     vbeta = V * beta
     forest = state.forest
-    if forest is None or forest.is_flat:
+    if forest.is_flat:
         return [[(beta + state.n_kw[k][w]) / (vbeta + state.n_k[k])
                  for w in range(V)] for k in range(state.K)]
     tree = forest.sampling_index
@@ -397,7 +394,7 @@ def log_likelihood(state: TopicModelState, corpus: Corpus) -> float:
         for k in range(K):
             total += lgamma(alpha + state.n_dk[d][k]) - lgamma(alpha)
     forest = state.forest
-    if forest is None or forest.is_flat:
+    if forest.is_flat:
         for k in range(K):
             total += lgamma(V * beta) - lgamma(V * beta + state.n_k[k])
             row = state.n_kw[k]

@@ -11,7 +11,9 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
+
+from .corpus import DEFAULT_STOPWORDS, _TOKEN_RE
 
 # the name syntax, shared with the parser's tokenizer: a prefix is empty or
 # matches PREFIX_PATTERN, as keywords do; a local name matches
@@ -414,37 +416,18 @@ AXIOM_TYPE_NAMES = tuple(kw for kw, (t, _) in AXIOM_KEYWORDS.items()
                          if t is not Label)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    axiom_count: int
-    logical_axiom_count: int
-    declaration_count: int
-    annotation_count: int
-    class_count: int
-    object_property_count: int
-    data_property_count: int
-    individual_count: int
-    expressivity: str
-    axiom_type_counts: tuple  # ((type name, count), ...) in AXIOM_TYPE_NAMES order
+def compute_metrics(o: Ontology) -> dict:
+    """The metrics table as ordered rows, from a single pass over the axioms.
 
-    def as_dict(self) -> dict:
-        d = {
-            "Axiom": self.axiom_count,
-            "Logical axiom count": self.logical_axiom_count,
-            "Declaration axioms count": self.declaration_count,
-            "Annotation axiom count": self.annotation_count,
-            "Class count": self.class_count,
-            "Object property count": self.object_property_count,
-            "Data property count": self.data_property_count,
-            "Individual count": self.individual_count,
-            "DL expressivity": self.expressivity,
-        }
-        d.update(dict(self.axiom_type_counts))
-        return d
+    The totals and entity counts come first, then ``DL expressivity``, then
+    one row per logical axiom type in ``AXIOM_TYPE_NAMES`` order.
 
-
-def compute_metrics(o: Ontology) -> MetricsReport:
-    """Count declarations, logical axioms and annotations in a single pass."""
+    The expressivity is a best-effort constructor-letter summary (heuristic,
+    documentation only).  Baseline ``S``; ``R`` for role axioms
+    (irreflexivity, asymmetry, property hierarchies), ``I`` for inverses,
+    ``F`` for (inverse-)functionality, ``(D)`` when data properties are
+    declared.  Nominals are unsupported, so ``O`` is never emitted.
+    """
     per_type = {name: 0 for name in AXIOM_TYPE_NAMES}
     annotations = 0
     for ax in o.axioms:
@@ -454,55 +437,37 @@ def compute_metrics(o: Ontology) -> MetricsReport:
             per_type[axiom_keyword(ax)] += 1
     logical = sum(per_type.values())
     declarations = len(o.declarations)
-    return MetricsReport(
-        axiom_count=logical + declarations + annotations,
-        logical_axiom_count=logical,
-        declaration_count=declarations,
-        annotation_count=annotations,
-        class_count=len(o.names_of_kind(EntityKind.CLASS)),
-        object_property_count=len(o.names_of_kind(EntityKind.OBJECT_PROPERTY)),
-        data_property_count=len(o.names_of_kind(EntityKind.DATA_PROPERTY)),
-        individual_count=len(o.names_of_kind(EntityKind.INDIVIDUAL)),
-        expressivity=detect_expressivity(o),
-        axiom_type_counts=tuple((name, per_type[name]) for name in AXIOM_TYPE_NAMES),
-    )
-
-
-def detect_expressivity(o: Ontology) -> str:
-    """Best-effort constructor-letter summary (heuristic, documentation only).
-
-    Baseline ``S``; ``R`` for role axioms (irreflexivity, asymmetry, property
-    hierarchies), ``I`` for inverses, ``F`` for (inverse-)functionality,
-    ``(D)`` when data properties are declared.  Nominals are unsupported, so
-    ``O`` is never emitted.
-    """
-    has_r = has_i = has_f = False
-    for ax in o.axioms:
-        if isinstance(ax, PropertyCharacteristic):
-            if ax.characteristic in (Characteristic.IRREFLEXIVE, Characteristic.ASYMMETRIC):
-                has_r = True
-            if ax.characteristic in (Characteristic.FUNCTIONAL, Characteristic.INVERSE_FUNCTIONAL):
-                has_f = True
-        elif isinstance(ax, SubObjectPropertyOf):
-            has_r = True
-        elif isinstance(ax, InverseObjectProperties):
-            has_i = True
-    s = "S"
-    if has_r:
-        s += "R"
-    if has_i:
-        s += "I"
-    if has_f:
-        s += "F"
-    if o.names_of_kind(EntityKind.DATA_PROPERTY):
-        s += "(D)"
-    return s
+    data_properties = len(o.names_of_kind(EntityKind.DATA_PROPERTY))
+    expressivity = "S"
+    if (per_type["IrreflexiveObjectProperty"]
+            or per_type["AsymmetricObjectProperty"]
+            or per_type["SubObjectPropertyOf"]):
+        expressivity += "R"
+    if per_type["InverseObjectProperties"]:
+        expressivity += "I"
+    if (per_type["FunctionalObjectProperty"]
+            or per_type["InverseFunctionalObjectProperty"]):
+        expressivity += "F"
+    if data_properties:
+        expressivity += "(D)"
+    return {
+        "Axiom": logical + declarations + annotations,
+        "Logical axiom count": logical,
+        "Declaration axioms count": declarations,
+        "Annotation axiom count": annotations,
+        "Class count": len(o.names_of_kind(EntityKind.CLASS)),
+        "Object property count":
+            len(o.names_of_kind(EntityKind.OBJECT_PROPERTY)),
+        "Data property count": data_properties,
+        "Individual count": len(o.names_of_kind(EntityKind.INDIVIDUAL)),
+        "DL expressivity": expressivity,
+        **per_type,
+    }
 
 
 # --- concept lexicon --------------------------------------------------------
 
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[0-9]+|[A-Z]+")
-_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 def split_camel(local: str) -> list:
@@ -510,21 +475,21 @@ def split_camel(local: str) -> list:
     return [m.lower() for m in _CAMEL_RE.findall(local)]
 
 
-def build_lexicon(o: Ontology, stopwords: Iterable[str] = ()) -> dict:
+def build_lexicon(o: Ontology) -> dict:
     """Map each class/individual to its lowercase label tokens.
 
     Tokens come from the camel-case-split local name plus the words of every
-    ``rdfs:label``.  Entities whose token set empties out are omitted.
+    ``rdfs:label``, split as corpus text is; ``DEFAULT_STOPWORDS`` are
+    dropped.  Entities whose token set empties out are omitted.
     """
-    stop = set(stopwords)
     labels = o.labels()
     lexicon = {}
     keys = o.names_of_kind(EntityKind.CLASS) | o.names_of_kind(EntityKind.INDIVIDUAL)
     for name in sorted(keys):
         tokens = set(split_camel(name.local))
         for text in labels.get(name, ()):
-            tokens.update(_WORD_RE.findall(text.lower()))
-        tokens = frozenset(t for t in tokens if t and t not in stop)
+            tokens.update(_TOKEN_RE.findall(text.lower()))
+        tokens = frozenset(t for t in tokens if t not in DEFAULT_STOPWORDS)
         if tokens:
             lexicon[name] = tokens
     return lexicon

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -20,6 +21,13 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def subprocess_env(**variables):
+    """This environment, with the package's source first on PYTHONPATH."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture()
@@ -56,12 +64,15 @@ def test_validate_missing_file_is_io_error():
 # --- metrics -----------------------------------------------------------------
 
 
-def test_metrics_round_trips_through_own_parser(fixture_path,
-                                                fixture_ontology):
+def test_metrics_prints_one_line_per_row_in_order(fixture_path,
+                                                  fixture_ontology):
     code, out, _ = run(["metrics", str(fixture_path)])
     assert code == 0
-    parsed = cli.parse_metrics_text(out)
-    assert parsed == compute_metrics(fixture_ontology).as_dict()
+    rows = compute_metrics(fixture_ontology)
+    lines = out.splitlines()
+    assert len(lines) == len(rows)
+    for line, (key, value) in zip(lines, rows.items()):
+        assert line.startswith(f"{key} ") and line.endswith(f"  {value}")
 
 
 def test_metrics_empty_ontology_all_zero(tmp_path):
@@ -69,9 +80,10 @@ def test_metrics_empty_ontology_all_zero(tmp_path):
     p.write_text(EMPTY_ONT, encoding="utf-8")
     code, out, _ = run(["metrics", str(p)])
     assert code == 0
-    parsed = cli.parse_metrics_text(out)
-    assert parsed["Axiom"] == 0
-    assert parsed["Class count"] == 0
+    values = {key.rstrip(): value for key, value in
+              (line.rsplit("  ", 1) for line in out.splitlines())}
+    assert values.pop("DL expressivity") == "S"
+    assert "Axiom" in values and set(values.values()) == {"0"}
 
 
 # --- reason ------------------------------------------------------------------
@@ -167,6 +179,7 @@ def test_lda_constrained_requires_ontology(corpus_path):
     ["--alpha", "1e308"], ["--beta", "1e306"],
     ["--constrained", "--eta", "1e308"],
     ["--constrained", "--beta", "1e-320"],
+    ["--min-df", "0"], ["--min-df", "-1"],
 ], ids=" ".join)
 def test_lda_bad_flag_is_usage_error_exit_64(corpus_path, fixture_path,
                                              flags):
@@ -174,6 +187,22 @@ def test_lda_bad_flag_is_usage_error_exit_64(corpus_path, fixture_path,
                           "--ontology", str(fixture_path)] + flags)
     assert code == 64 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_package_warnings_print_to_the_given_stderr(corpus_path, fixture_path,
+                                                   tmp_path, capfd):
+    p = tmp_path / "with-empty.tsv"
+    p.write_text(pathlib.Path(corpus_path).read_text(encoding="utf-8")
+                 + "empty\tof the and\n", encoding="utf-8")
+    handlers = list(logging.getLogger("ontomap").handlers)
+    code, out, err = run(["lda", str(p), "--k", "2", "--iters", "2",
+                          "--ontology", str(fixture_path), "--constrained"])
+    assert code == 0 and out
+    assert "warning: document 'empty' is empty after filtering; dropped\n" \
+        in err
+    assert all(line.startswith("warning: ") for line in err.splitlines())
+    assert capfd.readouterr().err == ""
+    assert logging.getLogger("ontomap").handlers == handlers
 
 
 def test_lda_json_lines_non_string_text_exit_2(tmp_path):
@@ -279,7 +308,7 @@ def test_lda_with_ontology_adds_tags_and_tag_subcommand(
 def test_console_entrypoint_runs(fixture_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ontomap.cli", "validate", str(fixture_path)],
-        capture_output=True)
+        capture_output=True, env=subprocess_env())
     assert proc.returncode == 0
 
 
@@ -317,7 +346,6 @@ def test_reason_and_graph_bytes_do_not_follow_the_hash_seed(fixture_path,
                                                             tmp_path):
     # each process hashes strings with its own PYTHONHASHSEED, so set and
     # dict order may differ between runs; the outputs must not
-    src = str(pathlib.Path(cli.__file__).parents[1])
     commands = {
         "reason": ["reason", str(fixture_path), "--strict", "--out"],
         "graphml": ["graph", str(fixture_path), "--cluster",
@@ -327,9 +355,7 @@ def test_reason_and_graph_bytes_do_not_follow_the_hash_seed(fixture_path,
     }
     seen = {}
     for hash_seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(PYTHONHASHSEED=hash_seed)
         for name, argv in commands.items():
             out = tmp_path / f"{name}-{hash_seed}"
             proc = subprocess.run(

@@ -6,7 +6,6 @@ from ontomap.constraints import (
     constraints_to_json,
     derive_constraints,
 )
-from ontomap.corpus import DEFAULT_STOPWORDS, ingest_corpus
 from ontomap.model import Name, build_lexicon
 
 
@@ -16,7 +15,7 @@ def N(local):
 
 @pytest.fixture(scope="module")
 def fixture_setup(fixture_ontology):
-    lexicon = build_lexicon(fixture_ontology, DEFAULT_STOPWORDS)
+    lexicon = build_lexicon(fixture_ontology)
     tokens = sorted({t for ts in lexicon.values() for t in ts})
     vocabulary = tuple(tokens)
     cs = derive_constraints(fixture_ontology, lexicon, vocabulary)

@@ -35,7 +35,7 @@ def test_vocab_sorted_and_ids_stable():
     corpus = ingest_corpus(records, min_df=2)
     assert corpus.vocabulary == tuple(sorted(corpus.vocabulary))
     assert corpus.n_tokens == sum(len(d) for d in corpus.documents)
-    assert corpus.vocab_index["apple"] == 0
+    assert corpus.vocabulary.index("apple") == 0
 
 
 def test_read_records_tsv(tmp_path):

@@ -33,7 +33,7 @@ def test_must_links_merge_into_components():
     f = build_forest(cs(must=[(0, 1), (1, 2), (4, 5)]), VOCAB)
     assert f.components == ((0, 1, 2), (4, 5))
     assert f.regions == ()
-    assert f.component_of() == {0: 0, 1: 0, 2: 0, 4: 1, 5: 1}
+    assert f.sampling_index.comp_of == [0, 0, 0, -1, 1, 1, -1, -1]
 
 
 def test_cannot_link_builds_region_with_two_branches():

@@ -264,7 +264,8 @@ def test_any_label_exports_to_loadable_graphml_and_json(label):
     g = _one_node_graph(label)
     assert _graphml_label(export(g, None, "graphml")) == (
         None if label == "" else
-        re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]", "\ufffd",
+        re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]",
+               "\ufffd",
                label.replace("\r", "\n")))
     assert json.loads(export(g, None, "nodelink-json"))["nodes"][0][
         "label"] == label

@@ -22,7 +22,6 @@ from ontomap.model import (
     build_lexicon,
     check_axiom,
     compute_metrics,
-    detect_expressivity,
     split_camel,
 )
 
@@ -104,7 +103,7 @@ def test_punning_allows_two_kinds_for_one_name():
 
 
 def test_fixture_metrics(fixture_ontology):
-    rows = compute_metrics(fixture_ontology).as_dict()
+    rows = compute_metrics(fixture_ontology)
     assert rows["Axiom"] == 109
     assert rows["Logical axiom count"] == 55
     assert rows["Declaration axioms count"] == 44
@@ -121,25 +120,33 @@ def test_fixture_metrics(fixture_ontology):
 
 
 def test_empty_ontology_metrics():
-    rows = compute_metrics(Ontology()).as_dict()
+    rows = compute_metrics(Ontology())
     assert rows["Axiom"] == 0
     assert rows["Class count"] == 0
     assert rows["DL expressivity"] == "S"
 
 
 def test_expressivity_letters():
+    def expressivity(o):
+        return compute_metrics(o)["DL expressivity"]
+
     o = base_ontology().declare(C("q"), EntityKind.OBJECT_PROPERTY)
-    assert detect_expressivity(o) == "S"
+    assert expressivity(o) == "S"
     o1 = add_axiom(o, PropertyCharacteristic(C("p"), Characteristic.IRREFLEXIVE))
-    assert detect_expressivity(o1) == "SR"
+    assert expressivity(o1) == "SR"
     o2 = add_axiom(o1, InverseObjectProperties(C("p"), C("q")))
-    assert detect_expressivity(o2) == "SRI"
+    assert expressivity(o2) == "SRI"
     o3 = add_axiom(o2, PropertyCharacteristic(C("p"), Characteristic.FUNCTIONAL))
-    assert detect_expressivity(o3) == "SRIF"
+    assert expressivity(o3) == "SRIF"
     o4 = o3.declare(C("d"), EntityKind.DATA_PROPERTY)
-    assert detect_expressivity(o4) == "SRIF(D)"
+    assert expressivity(o4) == "SRIF(D)"
     o5 = add_axiom(o, SubObjectPropertyOf(C("p"), C("q")))
-    assert detect_expressivity(o5) == "SR"
+    assert expressivity(o5) == "SR"
+    o6 = add_axiom(o, PropertyCharacteristic(C("p"), Characteristic.ASYMMETRIC))
+    assert expressivity(o6) == "SR"
+    o7 = add_axiom(o, PropertyCharacteristic(C("p"),
+                                             Characteristic.INVERSE_FUNCTIONAL))
+    assert expressivity(o7) == "SF"
 
 
 def test_split_camel():
@@ -151,9 +158,12 @@ def test_split_camel():
 def test_build_lexicon_uses_labels_and_stopwords():
     o = base_ontology()
     o = add_axiom(o, Label(C("A"), "the body mass index"))
-    lex = build_lexicon(o, stopwords={"the", "a", "b", "x"})
-    assert lex[C("A")] == {"body", "mass", "index"}
-    assert C("B") not in lex  # single stopword token set empties out
+    o = add_axiom(o, Label(C("B"), "Of THE"))
+    o = o.declare(C("Because"), EntityKind.CLASS)
+    lex = build_lexicon(o)
+    assert lex[C("A")] == {"body", "mass", "index"}  # "a" is a stopword
+    assert lex[C("B")] == {"b"}  # labels are lower-cased before the list
+    assert C("Because") not in lex  # a lone stopword token empties out
 
 
 def test_fixture_lexicon_has_expected_tokens(fixture_ontology):
