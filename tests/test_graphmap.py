@@ -1,13 +1,16 @@
 import hashlib
 import json
+import pathlib
 import random
 import re
+import runpy
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_best_partition, modularity_oracle, random_graph
+from ontomap import ofn, reasoner
 from ontomap.graphmap import (
     ConceptGraph,
     EmptyGraph,
@@ -24,6 +27,8 @@ from ontomap.graphmap import (
     undirected_projection,
 )
 from ontomap.model import Name
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def N(local):
@@ -197,6 +202,22 @@ def test_cluster_ids_dense(fixture_store):
     ids = set(p.assignment.values())
     assert ids == set(range(len(ids)))
     assert set(p.assignment) == {n.name for n in g.nodes}
+
+
+def test_cluster_pinned():
+    # cluster on concept graphs of the benchmark's ontology generator, with
+    # and without individuals, bit for bit
+    inputs = runpy.run_path(str(PERFBENCH / "inputs.py"))
+    out = []
+    for k, size in enumerate((300, 900)):
+        text, _ = inputs["ontology_text"](random.Random(f"cluster:{k}"), size)
+        store = reasoner.saturate(ofn.parse(text).ontology)
+        for individuals in (False, True):
+            g = build_concept_graph(store, include_individuals=individuals)
+            for seed in range(3):
+                out.append(sorted(cluster(g, seed).assignment.items()))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "89c84e6d2fd48ada29d8fd45d38f579a12cf6107e076e59edb2e38ff65e31970")
 
 
 # --- exports ------------------------------------------------------------------
