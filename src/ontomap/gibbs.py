@@ -13,7 +13,7 @@ each sweep's branch draws follow its token loop.
 
 The token loop is ``_sweep``: it takes the chain's counts as flat int64
 arrays (``_Chain``) and that sweep's uniforms, and draws no random
-numbers.  ``sweep.c`` is its compiled twin, built and loaded by
+numbers.  ``kernels.c`` holds its compiled twin, built and loaded by
 ``native``; it computes every weight with the same operations in the
 same order, so the two give the same bits, and ``_sweep`` runs whenever
 no compiler or library is available.  Init, the uniforms and the branch
@@ -193,7 +193,7 @@ def _run(corpus, forest, K, alpha, iters, seed):
 
 def _sweep(tree, flat, K, alpha, beta, s, uniforms):
     """One Gibbs sweep over every token of ``s``, in place, with one
-    uniform per token; the reference for the compiled sweep (sweep.c).
+    uniform per token; the reference for the compiled sweep (kernels.c).
     Returns the last token's cumulative topic weights."""
     comp_of, region_of = tree.comp_of, tree.region_of
     vbeta = len(comp_of) * beta

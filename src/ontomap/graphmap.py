@@ -3,7 +3,10 @@
 The graph mirrors the ontology: nodes are classes (optionally individuals),
 edges are direct subclass links, domain->range relation links, and individual
 level assertions.  Clustering runs Louvain modularity maximization on the
-undirected weighted projection with a seeded, reproducible move order.
+undirected weighted projection, on integer node positions, with a seeded,
+reproducible move order.  The local moves of each phase run in the
+compiled kernel (``native.local_mover``) or, without a compiler, in
+``_local_move_phase``, its Python twin and oracle; both give the same bits.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -120,24 +125,33 @@ def build_concept_graph(store: InferredStore,
 # --- undirected projection and modularity -----------------------------------
 
 
-def undirected_projection(g: ConceptGraph) -> dict:
-    """Adjacency dict; parallel edge weights summed, direction dropped.
-
-    ``adj[u][u]`` holds self-loop weight (counted once; contributes twice to
-    the degree, as usual for modularity).
-    """
-    adj = {n.name: {} for n in g.nodes}
+def _project(g: ConceptGraph):
+    """The undirected weighted projection of ``g`` as :func:`_indexed`
+    gives it: sorted node names, per node a dict of neighbour weights in
+    the order of the node's first edge to each, and self-loop weights.
+    Parallel edges' weights are summed in edge order; direction is
+    dropped."""
+    # Name's own order, without calling its Python-level __lt__
+    nodes = sorted({n.name for n in g.nodes},
+                   key=attrgetter("prefix", "local"))
+    index = {n: i for i, n in enumerate(nodes)}
+    graph = [{} for _ in nodes]
+    loops = [0.0] * len(nodes)
     for e in g.edges:
-        u, v, w = e.source, e.target, e.weight
-        adj[u][v] = adj[u].get(v, 0.0) + w
-        if u != v:
-            adj[v][u] = adj[v].get(u, 0.0) + w
-    return adj
+        u, v, w = index[e.source], index[e.target], e.weight
+        if u == v:
+            loops[u] += w
+        else:
+            graph[u][v] = graph[u].get(v, 0.0) + w
+            graph[v][u] = graph[v].get(u, 0.0) + w
+    return nodes, graph, loops
 
 
 def _indexed(adj: dict):
     """Sorted nodes plus the graph on their positions: per node a dict of
-    neighbour weights (self-loops left out) and its self-loop weight."""
+    neighbour weights in ``adj[u]``'s insertion order (self-loops left
+    out), and its self-loop weight.  ``adj[u][v]`` holds the weight of
+    the undirected edge, ``adj[u][u]`` a self-loop's."""
     nodes = sorted(adj)
     index = {n: i for i, n in enumerate(nodes)}
     graph = [{} for _ in nodes]
@@ -184,7 +198,7 @@ def modularity(g: ConceptGraph, p: Partition) -> float:
     names = {n.name for n in g.nodes}
     if set(p.assignment) != names:
         raise PartitionMismatch("partition does not cover the graph's nodes")
-    nodes, graph, loops = _indexed(undirected_projection(g))
+    nodes, graph, loops = _project(g)
     return _modularity(graph, loops, [p.assignment[n] for n in nodes])
 
 
@@ -204,13 +218,22 @@ def louvain(adj: dict, seed: int):
     a strict modularity gain, ties among best targets break toward the lowest
     community id.  Phases repeat until the gain drops below 1e-9.
     """
+    return _louvain(*_indexed(adj), seed)
+
+
+def _louvain(nodes, graph, loops, seed):
+    # imported here, at the first clustering: it loads subprocess and
+    # hashlib, which ``import ontomap`` does not need
+    from . import native
+
+    move = native.local_mover()
+    phase = partial(_compiled_phase, move) if move else _local_move_phase
     rng = np.random.Generator(np.random.PCG64(seed))
-    nodes, graph, loops = _indexed(adj)
     membership = list(range(len(nodes)))  # node -> current-level community
     history = []
     q_prev = None
     while True:
-        comm, q = _local_move_phase(graph, loops, rng)
+        comm, q = phase(graph, loops, rng)
         history.append(q)
         dense = _dense(comm)
         membership = [dense[c] for c in membership]
@@ -258,6 +281,18 @@ def _local_move_phase(graph, loops, rng):
     return comm, _modularity(graph, loops, comm)
 
 
+def _compiled_phase(move, graph, loops, rng):
+    """``_local_move_phase`` with its passes run by ``move``, from
+    ``native.local_mover``: the same degrees, visit order and result."""
+    n = len(graph)
+    degree = [2 * loops[i] + sum(graph[i].values()) for i in range(n)]
+    two_m = sum(degree)
+    if two_m == 0.0:
+        return list(range(n)), 0.0
+    comm = move(graph, degree, two_m, rng.permutation(n))
+    return comm, _modularity(graph, loops, comm)
+
+
 def _aggregate(graph, loops, comm):
     """Collapse each community of the dense labels ``comm`` to one node."""
     k = max(comm) + 1
@@ -279,7 +314,7 @@ def _aggregate(graph, loops, comm):
 def cluster(g: ConceptGraph, seed: int) -> Partition:
     if not g.nodes:
         raise EmptyGraph("cannot cluster an empty graph")
-    assignment, _history = louvain(undirected_projection(g), seed)
+    assignment, _history = _louvain(*_project(g), seed)
     return Partition(assignment=assignment, seed=seed)
 
 

@@ -1,7 +1,9 @@
-"""Build, cache and load ``sweep.c``, the compiled twin of ``gibbs._sweep``.
+"""Build, cache and load ``kernels.c``, the compiled twins of
+``gibbs._sweep`` and of the passes of ``graphmap._local_move_phase``.
 
 README "Reproducibility" describes the cache.  With no compiler, or when
-the build or the load fails, :func:`sweeper` returns None.
+the build or the load fails, :func:`sweeper` and :func:`local_mover`
+return None.
 """
 
 import ctypes
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("sweep.c")
+SOURCE = Path(__file__).with_name("kernels.c")
 CC = "cc"
 # no fused multiply-add, fast-math or -march=native: on every CPU, each
 # operation rounds as it does in Python
@@ -34,7 +36,7 @@ def _load(directory: Path):
     loads a partly written file."""
     key = hashlib.sha256(repr((SOURCE.read_bytes(), FLAGS, sys.platform,
                                platform.machine())).encode()).hexdigest()
-    lib = directory / f"sweep-{key[:16]}.so"
+    lib = directory / f"{SOURCE.stem}-{key[:16]}.so"
     sig = lib.with_suffix(".sha256")
     try:
         trusted = sig.read_text() == hashlib.sha256(
@@ -54,7 +56,8 @@ def _load(directory: Path):
 
 @cache
 def kernel():
-    """The compiled ``ontomap_sweep``, or None if it cannot be had."""
+    """The compiled library, its two functions typed, or None if it
+    cannot be had."""
     try:
         try:
             directory = cache_dir()
@@ -64,23 +67,25 @@ def kernel():
         except (OSError, RuntimeError):     # RuntimeError: no home directory
             private = False
         if private:
-            fn = _load(directory).ontomap_sweep
+            lib = _load(directory)
         else:
             with tempfile.TemporaryDirectory() as tmp:
-                fn = _load(Path(tmp)).ontomap_sweep
+                lib = _load(Path(tmp))
+        sweep, move = lib.ontomap_sweep, lib.ontomap_local_move
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = ([ctypes.c_int64] * 6 + [ctypes.c_double] * 4
-                   + [ctypes.c_void_p] * 20)
-    fn.restype = None
-    return fn
+    sweep.argtypes = ([ctypes.c_int64] * 6 + [ctypes.c_double] * 4
+                      + [ctypes.c_void_p] * 20)
+    move.argtypes = [ctypes.c_int64, ctypes.c_double] + [ctypes.c_void_p] * 10
+    sweep.restype = move.restype = None
+    return lib
 
 
 def sweeper(tree, flat, K, alpha, beta, s):
     """``sweep(uniforms)``: ``gibbs._sweep`` on the chain ``s`` through the
     kernel, with the same result; None when there is no kernel."""
-    fn = kernel()
-    if fn is None:
+    lib = kernel()
+    if lib is None:
         return None
     chain = (s.words, s.doc, s.q, s.z, s.n_dk, s.n_kw, s.n_k, s.n_comp,
              s.n_region)
@@ -102,8 +107,39 @@ def sweeper(tree, flat, K, alpha, beta, s):
         if uniforms.dtype != np.float64 or uniforms.shape != s.words.shape \
                 or not uniforms.flags.c_contiguous:
             raise ValueError("sweep takes one float64 uniform per token")
-        fn(*head, uniforms.ctypes.data, weights.ctypes.data)
+        lib.ontomap_sweep(*head, uniforms.ctypes.data, weights.ctypes.data)
         return weights.tolist()
 
     sweep.arrays = arrays   # alive as long as ``sweep``: ``head`` points in
     return sweep
+
+
+def local_mover():
+    """``move(graph, degree, two_m, order)``: the passes of
+    ``graphmap._local_move_phase`` through the kernel, returning the same
+    ``comm``; None when there is no kernel."""
+    lib = kernel()
+    if lib is None:
+        return None
+
+    def move(graph, degree, two_m, order):
+        n = len(graph)
+        offset = np.cumsum([0, *map(len, graph)], dtype=np.int64)
+        nbr = np.fromiter((j for d in graph for j in d), np.int64)
+        order = np.ascontiguousarray(order, np.int64)
+        comm = np.arange(n, dtype=np.int64)
+        # the kernel indexes by these ids unchecked
+        if len(degree) != n or not np.array_equal(np.sort(order), comm) \
+                or nbr.size and not 0 <= nbr.min() <= nbr.max() < n:
+            raise ValueError("move takes n degrees, a permutation of the "
+                             "nodes and neighbour ids below n")
+        arrays = (
+            offset, nbr,
+            np.fromiter((w for d in graph for w in d.values()), np.float64),
+            np.array(degree, np.float64), order, comm,
+            np.array(degree, np.float64), np.empty(n),
+            np.zeros(n, np.uint8), np.empty(n, np.int64))
+        lib.ontomap_local_move(n, two_m, *(a.ctypes.data for a in arrays))
+        return comm.tolist()
+
+    return move

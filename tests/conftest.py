@@ -29,7 +29,7 @@ def fixture_store(fixture_ontology):
 
 @pytest.fixture()
 def kernel_cache(monkeypatch, tmp_path):
-    """The compiled sweep's loader, reset, with its cache in a new directory."""
+    """The compiled kernels' loader, reset, with its cache in a new directory."""
     monkeypatch.setattr(native, "cache_dir", lambda: tmp_path / "cache")
     native.kernel.cache_clear()
     yield tmp_path / "cache"

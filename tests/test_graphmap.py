@@ -4,13 +4,16 @@ import pathlib
 import random
 import re
 import runpy
+import shutil
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_best_partition, modularity_oracle, random_graph
-from ontomap import ofn, reasoner
+import test_acceptance
+from ontomap import graphmap, native, ofn, reasoner
 from ontomap.graphmap import (
     ConceptGraph,
     EmptyGraph,
@@ -24,7 +27,6 @@ from ontomap.graphmap import (
     export,
     louvain,
     modularity,
-    undirected_projection,
 )
 from ontomap.model import Name
 
@@ -218,6 +220,61 @@ def test_cluster_pinned():
                 out.append(sorted(cluster(g, seed).assignment.items()))
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "89c84e6d2fd48ada29d8fd45d38f579a12cf6107e076e59edb2e38ff65e31970")
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _levels(graph, loops, seed):
+    """The indexed graph and every level aggregated from it, as the Python
+    phase merges them."""
+    rng = _pcg(seed)
+    while True:
+        yield graph, loops
+        comm, _ = graphmap._local_move_phase(graph, loops, rng)
+        if len(set(comm)) == len(comm):
+            return
+        graph, loops = graphmap._aggregate(graph, loops, graphmap._dense(comm))
+
+
+@pytest.mark.skipif(shutil.which(native.CC) is None, reason="no C compiler")
+def test_compiled_phase_matches_python_phase(fixture_store):
+    # weights 0.5, 1.0 and 2.0, self-loops, disconnected and one-node graphs
+    rnd = random.Random(61)
+    graphs = [graphmap._indexed(random_graph(rnd, max_n=40))[1:]
+              for _ in range(30)]
+    graphs += [graphmap._indexed(adj)[1:] for adj in (
+        {0: {}}, {0: {0: 1.0}}, {0: {}, 1: {}}, bridge_adj())]
+    graphs.append(graphmap._project(
+        build_concept_graph(fixture_store, include_individuals=True))[1:])
+    move = native.local_mover()
+    phases = 0
+    for k, (graph, loops) in enumerate(graphs):
+        for level in _levels(graph, loops, k):
+            want = graphmap._local_move_phase(*level, _pcg(k))
+            got = graphmap._compiled_phase(move, *level, _pcg(k))
+            assert (got[0], float(got[1]).hex()) == \
+                (want[0], float(want[1]).hex())
+            phases += 1
+    assert phases > len(graphs)
+    # ids the kernel would index out of bounds by are refused before it runs
+    for args in (([{1: 1.0}], [1.0], 1.0, [0]), ([{}], [0.0, 1.0], 1.0, [0]),
+                 ([{1: 1.0}, {0: 1.0}], [1.0, 1.0], 2.0, [1, 1])):
+        with pytest.raises(ValueError):
+            move(*args)
+
+
+def test_python_phase_serves_when_no_compiler(monkeypatch, kernel_cache):
+    monkeypatch.setattr(native, "CC", "no-such-compiler")
+    calls = []
+    python_phase = graphmap._local_move_phase
+    monkeypatch.setattr(graphmap, "_local_move_phase",
+                        lambda *a: calls.append(1) or python_phase(*a))
+    test_louvain_pinned()
+    test_cluster_pinned()
+    test_acceptance.test_05_louvain_optimal_monotone_and_deterministic()
+    assert native.kernel() is None and calls
 
 
 # --- exports ------------------------------------------------------------------

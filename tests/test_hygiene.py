@@ -2,7 +2,10 @@
 and every module-level definition of the package is loaded somewhere."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +70,15 @@ def test_every_module_level_definition_is_loaded():
         for name in module_level_names(ast.parse(path.read_text("utf-8")))
         if name not in loaded and not name.startswith("__"))
     assert unused == [], f"defined but never loaded: {unused}"
+
+
+def test_import_loads_no_compiler_machinery():
+    # ``native`` (and the subprocess module it needs) loads at the first
+    # sampler or clustering call, so every workload's setup time is free
+    # of it
+    code = ("import sys, ontomap; "
+            "print(sorted({'ontomap.native', 'subprocess'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
