@@ -129,10 +129,11 @@ def local_mover():
         order = np.ascontiguousarray(order, np.int64)
         comm = np.arange(n, dtype=np.int64)
         # the kernel indexes by these ids unchecked
-        if len(degree) != n or not np.array_equal(np.sort(order), comm) \
-                or nbr.size and not 0 <= nbr.min() <= nbr.max() < n:
-            raise ValueError("move takes n degrees, a permutation of the "
-                             "nodes and neighbour ids below n")
+        if len(degree) != n or len(order) != n or any(
+                a.size and not 0 <= a.min() <= a.max() < n
+                for a in (order, nbr)):
+            raise ValueError("move takes n degrees and n visits, and node "
+                             "ids below n")
         arrays = (
             offset, nbr,
             np.fromiter((w for d in graph for w in d.values()), np.float64),

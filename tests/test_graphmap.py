@@ -260,7 +260,7 @@ def test_compiled_phase_matches_python_phase(fixture_store):
     assert phases > len(graphs)
     # ids the kernel would index out of bounds by are refused before it runs
     for args in (([{1: 1.0}], [1.0], 1.0, [0]), ([{}], [0.0, 1.0], 1.0, [0]),
-                 ([{1: 1.0}, {0: 1.0}], [1.0, 1.0], 2.0, [1, 1])):
+                 ([{1: 1.0}, {0: 1.0}], [1.0, 1.0], 2.0, [0, 2])):
         with pytest.raises(ValueError):
             move(*args)
 
