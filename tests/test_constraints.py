@@ -1,5 +1,12 @@
+import hashlib
+import pathlib
+import random
+import runpy
+
 import pytest
 
+from helpers import random_reasoner_ontology
+from ontomap import ofn
 from ontomap.constraints import (
     ConstraintSet,
     constraints_from_json,
@@ -7,6 +14,9 @@ from ontomap.constraints import (
     derive_constraints,
 )
 from ontomap.model import Name, build_lexicon
+
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def N(local):
@@ -95,3 +105,24 @@ def test_cannot_links_bridged_by_closure_are_pruned():
     assert cs.must_links == ((0, 1),)
     assert cs.cannot_links == ()
     assert any("pruned" in w for w in cs.warnings)
+
+
+def test_derive_constraints_pinned(fixture_ontology):
+    # must- and cannot-links of the fixture, of the benchmark's ontology
+    # generator and of random ontologies, exactly
+    inputs = runpy.run_path(str(PERFBENCH / "inputs.py"))
+    ontologies = [fixture_ontology]
+    for k, size in enumerate((300, 900)):
+        text, _ = inputs["ontology_text"](random.Random(f"constraints:{k}"),
+                                          size)
+        ontologies.append(ofn.parse(text).ontology)
+    rnd = random.Random(37)
+    ontologies += [random_reasoner_ontology(rnd) for _ in range(100)]
+    out = []
+    for o in ontologies:
+        lexicon = build_lexicon(o)
+        vocabulary = tuple(sorted({t for ts in lexicon.values() for t in ts}))
+        cs = derive_constraints(o, lexicon, vocabulary)
+        out.append((cs.must_links, cs.cannot_links))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "abbbdd21191997ba41e791bd04a8e663269f8d93b60d3aaf6c69876a07a317f9")
