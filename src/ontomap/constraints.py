@@ -7,7 +7,6 @@ single-concept signal), pruning the offending cannot-link with a warning.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -26,11 +25,6 @@ log = logging.getLogger(__name__)
 class ConstraintSet:
     must_links: tuple     # ((w1, w2), ...) word-id pairs, w1 < w2
     cannot_links: tuple
-    provenance: dict      # ("must"|"cannot", pair) -> tuple of entity name strings
-    warnings: tuple = ()
-
-    def is_empty(self) -> bool:
-        return not self.must_links and not self.cannot_links
 
 
 def _pair(a: int, b: int):
@@ -59,14 +53,12 @@ def derive_constraints(o: Ontology, lexicon: dict, vocabulary) -> ConstraintSet:
     CANNOT-LINK cross pairs between the token sets of disjoint classes."""
     index = {w: i for i, w in enumerate(vocabulary)}
 
-    must: dict = {}
-    for entity in sorted(lexicon):
-        ids = sorted(index[t] for t in lexicon[entity] if t in index)
-        if len(ids) < 2:
-            continue
+    must = set()
+    for tokens in lexicon.values():
+        ids = sorted(index[t] for t in tokens if t in index)
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
-                must.setdefault(_pair(a, b), []).append(str(entity))
+                must.add((a, b))
 
     # tokens standing for a disjoint class: its own labels plus the labels of
     # its directly asserted instances
@@ -82,7 +74,6 @@ def derive_constraints(o: Ontology, lexicon: dict, vocabulary) -> ConstraintSet:
         return frozenset(index[t] for t in tokens if t in index)
 
     cannot: dict = {}
-    warnings: list = []
     disjoint_groups = []
     for ax in o.axioms:
         if isinstance(ax, DisjointClasses):
@@ -96,66 +87,22 @@ def derive_constraints(o: Ontology, lexicon: dict, vocabulary) -> ConstraintSet:
                 shared = wc & wd
                 if shared:
                     words = sorted(vocabulary[w] for w in shared)
-                    warnings.append(
-                        f"tokens {words} appear on both sides of the "
-                        f"cannot-link between {c} and {d}; skipped")
+                    log.warning("tokens %s appear on both sides of the "
+                                "cannot-link between %s and %s; skipped",
+                                words, c, d)
                 for a in sorted(wc - shared):
                     for b in sorted(wd - shared):
                         cannot.setdefault(_pair(a, b), []).append(f"{c}|{d}")
 
-    # cannot-links bridged by the must-link closure are pruned
+    # cannot-links joined by the must-link closure are pruned
     find = _union_find(must, len(vocabulary))
-    kept_cannot = {}
-    for pair, sources in cannot.items():
-        if pair in must:
-            warnings.append(
-                f"cannot-link {vocabulary[pair[0]]}/{vocabulary[pair[1]]} "
-                f"conflicts with a must-link; pruned (from {sources})")
-            continue
-        if find(pair[0]) == find(pair[1]):
-            warnings.append(
-                f"cannot-link {vocabulary[pair[0]]}/{vocabulary[pair[1]]} "
-                f"joined by the must-link closure; pruned (from {sources})")
-            continue
-        kept_cannot[pair] = sources
-
-    for w in warnings:
-        log.warning("%s", w)
-    provenance = {}
-    for pair, sources in must.items():
-        provenance[("must", pair)] = tuple(sources)
-    for pair, sources in kept_cannot.items():
-        provenance[("cannot", pair)] = tuple(sources)
-    return ConstraintSet(
-        must_links=tuple(sorted(must)),
-        cannot_links=tuple(sorted(kept_cannot)),
-        provenance=provenance,
-        warnings=tuple(warnings),
-    )
-
-
-# --- JSON interchange (word strings, not ids) -------------------------------
-
-
-def constraints_to_json(cs: ConstraintSet, vocabulary) -> str:
-    payload = {
-        "must": [[vocabulary[a], vocabulary[b]] for a, b in cs.must_links],
-        "cannot": [[vocabulary[a], vocabulary[b]] for a, b in cs.cannot_links],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def constraints_from_json(text: str, vocabulary) -> ConstraintSet:
-    index = {w: i for i, w in enumerate(vocabulary)}
-    payload = json.loads(text)
-    must = sorted({_pair(index[a], index[b]) for a, b in payload.get("must", [])
-                   if a in index and b in index})
-    cannot = sorted({_pair(index[a], index[b]) for a, b in payload.get("cannot", [])
-                     if a in index and b in index})
-    find = _union_find(must, len(vocabulary))
-    cannot = [p for p in cannot if find(p[0]) != find(p[1])]
-    return ConstraintSet(
-        must_links=tuple(must),
-        cannot_links=tuple(cannot),
-        provenance={},
-    )
+    kept_cannot = []
+    for (a, b), sources in cannot.items():
+        if find(a) == find(b):
+            log.warning("cannot-link %s/%s joined by the must-link closure; "
+                        "pruned (from %s)", vocabulary[a], vocabulary[b],
+                        sources)
+        else:
+            kept_cannot.append((a, b))
+    return ConstraintSet(must_links=tuple(sorted(must)),
+                         cannot_links=tuple(sorted(kept_cannot)))

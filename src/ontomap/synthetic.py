@@ -1,111 +1,6 @@
-"""Seeded synthetic corpora for evaluating the samplers.
+"""Small narrative snippets whose tokens overlap the bundled ontology's
+lexicon, for end-to-end runs that exercise tagging."""
 
-Each generator returns a Corpus plus whatever ground truth the evaluation
-needs.  All randomness flows from the given seed through numpy's PCG64.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-
-from .corpus import Corpus
-
-
-def _corpus(vocabulary, docs, prefix="doc"):
-    return Corpus(vocabulary=tuple(vocabulary),
-                  documents=tuple(tuple(d) for d in docs),
-                  doc_ids=tuple(f"{prefix}{i}" for i in range(len(docs))))
-
-
-def planted_two_topics(n_docs: int = 200, doc_len: int = 24,
-                       vocab_per_topic: int = 12, noise: float = 0.05,
-                       seed: int = 0):
-    """Corpus with two disjoint planted vocabularies.
-
-    Each document draws from one vocabulary, with a ``noise`` fraction of
-    tokens from the other.  Returns (corpus, labels) where labels[d] is the
-    planted topic of document d.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    V = 2 * vocab_per_topic
-    vocabulary = [f"word{i:03d}" for i in range(V)]
-    pools = (list(range(vocab_per_topic)), list(range(vocab_per_topic, V)))
-    docs, labels = [], []
-    for d in range(n_docs):
-        lab = d % 2
-        own, other = pools[lab], pools[1 - lab]
-        doc = [int(rng.choice(other)) if rng.random() < noise
-               else int(rng.choice(own)) for _ in range(doc_len)]
-        docs.append(doc)
-        labels.append(lab)
-    return _corpus(vocabulary, docs), labels
-
-
-def topic_purity(state, labels) -> float:
-    """Best-matching purity of majority document topics vs planted labels."""
-    assign = []
-    for d, zd in enumerate(state.z):
-        counts = [0] * state.K
-        for k in zd:
-            counts[k] += 1
-        assign.append(max(range(state.K), key=lambda k: (counts[k], -k)))
-    n = len(labels)
-    direct = sum(1 for a, l in zip(assign, labels) if a == l)
-    flipped = sum(1 for a, l in zip(assign, labels) if a == 1 - l)
-    return max(direct, flipped) / n
-
-
-def must_link_corpus(n_docs: int = 60, doc_len: int = 12, vocab_size: int = 24,
-                     seed: int = 0):
-    """Corpus where words 0 and 1 occur in disjoint document sets.
-
-    Without constraints the two words land in different topics; a must-link
-    between them should pull them into one topic's top ranks.  Words 0/1 ride
-    on two otherwise-distinct background vocabularies.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    vocabulary = [f"word{i:03d}" for i in range(vocab_size)]
-    half = (vocab_size - 2) // 2
-    poolA = list(range(2, 2 + half))
-    poolB = list(range(2 + half, vocab_size))
-    docs = []
-    for d in range(n_docs):
-        if d % 2 == 0:
-            doc = [0] * 3 + [int(rng.choice(poolA)) for _ in range(doc_len - 3)]
-        else:
-            doc = [1] * 3 + [int(rng.choice(poolB)) for _ in range(doc_len - 3)]
-        docs.append(doc)
-    return _corpus(vocabulary, docs)
-
-
-def cannot_link_corpus(n_docs: int = 40, doc_len: int = 10,
-                       vocab_size: int = 24, seed: int = 0):
-    """Corpus where words 0 and 1 co-occur in every document.
-
-    Each document carries a 3:2 imbalance between the two words (majority
-    word alternating with the document's background pool), so unconstrained
-    LDA tends to keep both in one topic's top ranks while a cannot-link can
-    drain the minority word out of each topic.  Evaluate with alpha around
-    4.5 and several hundred sweeps.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    vocabulary = [f"word{i:03d}" for i in range(vocab_size)]
-    half = (vocab_size - 2) // 2
-    poolA = list(range(2, 2 + half))
-    poolB = list(range(2 + half, vocab_size))
-    docs = []
-    for d in range(n_docs):
-        if d % 2 == 0:
-            head, pool = [0, 0, 0, 1, 1], poolA
-        else:
-            head, pool = [1, 1, 1, 0, 0], poolB
-        doc = head + [int(rng.choice(pool)) for _ in range(doc_len - 5)]
-        docs.append(doc)
-    return _corpus(vocabulary, docs)
-
-
-# Small narrative snippets whose tokens overlap the bundled ontology's
-# lexicon, for end-to-end runs that exercise tagging.
 HEALTH_SNIPPETS = (
     ("d01", "Obesity is a chronic disease linked to excessive weight gain "
             "and abdominal obesity in adults."),

@@ -36,20 +36,18 @@ from ontomap.model import (
 )
 from ontomap.ofn import parse, serialize
 from ontomap.reasoner import IsA, saturate
-from ontomap.synthetic import (
-    HEALTH_SNIPPETS,
-    cannot_link_corpus,
-    must_link_corpus,
-    planted_two_topics,
-    topic_purity,
-)
+from ontomap.synthetic import HEALTH_SNIPPETS
 
 from helpers import (
     brute_force_best_partition,
+    cannot_link_corpus,
+    must_link_corpus,
     naive_closure,
+    planted_two_topics,
     random_graph,
     random_ontology,
     random_reasoner_ontology,
+    topic_purity,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -209,7 +207,7 @@ def test_08_constraints_change_topic_assignments():
     start = time.monotonic()
 
     corpus = must_link_corpus(seed=0)
-    cs = ConstraintSet(must_links=((0, 1),), cannot_links=(), provenance={})
+    cs = ConstraintSet(must_links=((0, 1),), cannot_links=())
     forest = build_forest(cs, corpus.vocabulary, beta=1.0, eta=100.0)
     with_must = sum(
         _pair_in_same_top10(
@@ -225,7 +223,7 @@ def test_08_constraints_change_topic_assignments():
     assert baseline_must <= 5
 
     corpus = cannot_link_corpus(seed=0)
-    cs = ConstraintSet(must_links=(), cannot_links=((0, 1),), provenance={})
+    cs = ConstraintSet(must_links=(), cannot_links=((0, 1),))
     forest = build_forest(cs, corpus.vocabulary, beta=0.01)
     with_cannot = sum(
         _pair_in_same_top10(
@@ -248,7 +246,7 @@ def test_08_constraints_change_topic_assignments():
 
 def test_09_branch_sampler_matches_dirichlet_multinomial():
     beta, epsilon = 0.5, 0.01
-    cs = ConstraintSet(must_links=(), cannot_links=((0, 1),), provenance={})
+    cs = ConstraintSet(must_links=(), cannot_links=((0, 1),))
     forest = build_forest(cs, ("a", "b", "c", "d"), beta=beta,
                           epsilon=epsilon)
     counts = [7, 3, 2, 1]

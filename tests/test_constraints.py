@@ -7,13 +7,15 @@ import pytest
 
 from helpers import random_reasoner_ontology
 from ontomap import ofn
-from ontomap.constraints import (
-    ConstraintSet,
-    constraints_from_json,
-    constraints_to_json,
-    derive_constraints,
+from ontomap.constraints import derive_constraints
+from ontomap.model import (
+    DisjointClasses,
+    EntityKind,
+    Name,
+    Ontology,
+    add_axiom,
+    build_lexicon,
 )
-from ontomap.model import Name, build_lexicon
 
 
 PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
@@ -57,54 +59,50 @@ def test_no_pair_is_both_must_and_cannot(fixture_setup):
     assert not (set(cs.must_links) & set(cs.cannot_links))
 
 
-def test_shared_tokens_are_skipped_with_warning(fixture_setup):
-    _, vocabulary, cs = fixture_setup
-    # DisjointUnion parts :Diet and :Medication both contribute individuals
-    # whose labels share "low" (low-calorie diet etc. vs none) - at minimum
-    # the closure pruning must have logged anything it removed
-    for (a, b) in cs.cannot_links:
-        assert a != b
-
-
-def test_provenance_names_source_entities(fixture_setup):
-    _, vocabulary, cs = fixture_setup
-    index = {w: i for i, w in enumerate(vocabulary)}
-    pair = tuple(sorted((index["medical"], index["sign"])))
-    sources = cs.provenance[("must", pair)]
-    assert any("MedicalSign" in s for s in sources)
-
-
-def test_json_round_trip(fixture_setup):
-    _, vocabulary, cs = fixture_setup
-    text = constraints_to_json(cs, vocabulary)
-    back = constraints_from_json(text, vocabulary)
-    assert back.must_links == cs.must_links
-    assert back.cannot_links == cs.cannot_links
-
-
-def test_from_json_ignores_out_of_vocab_words(fixture_setup):
-    _, vocabulary, _ = fixture_setup
-    back = constraints_from_json(
-        '{"must": [["diet", "nosuchword"]], "cannot": []}', vocabulary)
-    assert back.is_empty()
-
-
-def test_cannot_links_bridged_by_closure_are_pruned():
-    # concept "AlphaBeta" must-links alpha-beta; disjointness tries to
-    # cannot-link alpha vs beta via class token sets -> pruned with warning
-    from ontomap.model import (
-        DisjointClasses, EntityKind, Label, Ontology, add_axiom)
+def _derive(classes, disjoint):
+    """Constraints over every label token of ``classes``, with the classes
+    of ``disjoint`` pairwise disjoint."""
     o = Ontology(ontology_id="http://example.org/t",
                  prefixes=(("", "http://example.org/t#"),))
-    for c in ("AlphaBeta", "Alpha", "Beta"):
+    for c in classes:
         o = o.declare(N(c), EntityKind.CLASS)
-    o = add_axiom(o, DisjointClasses((N("Alpha"), N("Beta"))))
+    o = add_axiom(o, DisjointClasses(tuple(N(c) for c in disjoint)))
     lexicon = build_lexicon(o)
-    vocabulary = ("alpha", "beta")
-    cs = derive_constraints(o, lexicon, vocabulary)
+    vocabulary = tuple(sorted({t for ts in lexicon.values() for t in ts}))
+    return vocabulary, derive_constraints(o, lexicon, vocabulary)
+
+
+def test_shared_tokens_are_skipped_with_warning(caplog):
+    vocabulary, cs = _derive(("Alpha", "AlphaBeta"), ("Alpha", "AlphaBeta"))
+    assert vocabulary == ("alpha", "beta")
     assert cs.must_links == ((0, 1),)
     assert cs.cannot_links == ()
-    assert any("pruned" in w for w in cs.warnings)
+    assert [r.getMessage() for r in caplog.records] == [
+        "tokens ['alpha'] appear on both sides of the cannot-link between "
+        ":Alpha and :AlphaBeta; skipped"]
+
+
+def test_cannot_links_bridged_by_closure_are_pruned(caplog):
+    # AlphaBeta must-links alpha-beta; Alpha and Beta are disjoint
+    vocabulary, cs = _derive(("AlphaBeta", "Alpha", "Beta"), ("Alpha", "Beta"))
+    assert cs.must_links == ((0, 1),)
+    assert cs.cannot_links == ()
+    assert [r.getMessage() for r in caplog.records] == [
+        "cannot-link alpha/beta joined by the must-link closure; pruned "
+        "(from [':Alpha|:Beta'])"]
+
+
+def test_cannot_links_joined_transitively_are_pruned(caplog):
+    # AlphaBeta and BetaGamma must-link alpha-beta and beta-gamma, whose
+    # closure joins alpha and gamma
+    vocabulary, cs = _derive(("AlphaBeta", "BetaGamma", "Alpha", "Gamma"),
+                             ("Alpha", "Gamma"))
+    assert vocabulary == ("alpha", "beta", "gamma")
+    assert cs.must_links == ((0, 1), (1, 2))
+    assert cs.cannot_links == ()
+    assert [r.getMessage() for r in caplog.records] == [
+        "cannot-link alpha/gamma joined by the must-link closure; pruned "
+        "(from [':Alpha|:Gamma'])"]
 
 
 def test_derive_constraints_pinned(fixture_ontology):

@@ -16,8 +16,7 @@ from ontomap.forest import (
 
 
 def cs(must=(), cannot=()):
-    return ConstraintSet(must_links=tuple(must), cannot_links=tuple(cannot),
-                         provenance={})
+    return ConstraintSet(must_links=tuple(must), cannot_links=tuple(cannot))
 
 
 VOCAB = tuple(f"w{i}" for i in range(8))

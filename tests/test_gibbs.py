@@ -25,11 +25,9 @@ from ontomap.gibbs import (
     top_words,
 )
 from ontomap.model import Name
-from ontomap.synthetic import (
-    HEALTH_SNIPPETS,
-    planted_two_topics,
-    topic_purity,
-)
+from ontomap.synthetic import HEALTH_SNIPPETS
+
+from helpers import planted_two_topics, topic_purity
 
 
 def corpus_of(docs, vocab_size=None):
@@ -41,7 +39,7 @@ def corpus_of(docs, vocab_size=None):
 
 
 def cs(must=(), cannot=()):
-    return ConstraintSet(tuple(must), tuple(cannot), {})
+    return ConstraintSet(tuple(must), tuple(cannot))
 
 
 def test_hyperparameter_validation():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and every module-level definition of the package is loaded somewhere."""
+"""Source hygiene: no module of the package, nor the tests' helpers,
+imports a name it never uses, and every module-level definition of the
+package is loaded somewhere."""
 
 import ast
 import os
@@ -11,8 +12,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "ontomap"
-# the package's __init__ imports names only to re-export them
+# the package's __init__ imports names only to re-export them; the tests'
+# shared helpers are checked as a module too
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES.append(ROOT / "tests" / "helpers.py")
 
 
 def imported_names(tree):
