@@ -4,9 +4,10 @@ The graph mirrors the ontology: nodes are classes (optionally individuals),
 edges are direct subclass links, domain->range relation links, and individual
 level assertions.  Clustering runs Louvain modularity maximization on the
 undirected weighted projection, on integer node positions, with a seeded,
-reproducible move order.  The local moves of each phase run in the
-compiled kernel (``native.local_mover``) or, without a compiler, in
-``_local_move_phase``, its Python twin and oracle; both give the same bits.
+reproducible move order.  ``_local_move_phase`` runs each phase; its local
+moves run in the compiled kernel (``native.local_mover``) or, without a
+compiler, in ``_local_moves``, its Python twin and oracle; both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Optional
 
@@ -226,14 +226,13 @@ def _louvain(nodes, graph, loops, seed):
     # hashlib, which ``import ontomap`` does not need
     from . import native
 
-    move = native.local_mover()
-    phase = partial(_compiled_phase, move) if move else _local_move_phase
+    move = native.local_mover() or _local_moves
     rng = np.random.Generator(np.random.PCG64(seed))
     membership = list(range(len(nodes)))  # node -> current-level community
     history = []
     q_prev = None
     while True:
-        comm, q = phase(graph, loops, rng)
+        comm, q = _local_move_phase(move, graph, loops, rng)
         history.append(q)
         dense = _dense(comm)
         membership = [dense[c] for c in membership]
@@ -246,15 +245,25 @@ def _louvain(nodes, graph, loops, seed):
     return dict(zip(nodes, _dense(membership))), history
 
 
-def _local_move_phase(graph, loops, rng):
+def _local_move_phase(move, graph, loops, rng):
+    """One phase's local moves by ``move``, from ``native.local_mover`` or
+    its Python twin ``_local_moves``, in a seeded visit order; returns the
+    communities and their modularity."""
     n = len(graph)
-    comm = list(range(n))
     degree = [2 * loops[i] + sum(graph[i].values()) for i in range(n)]
     two_m = sum(degree)
     if two_m == 0.0:
-        return comm, 0.0
+        return list(range(n)), 0.0
+    comm = move(graph, degree, two_m, rng.permutation(n))
+    return comm, _modularity(graph, loops, comm)
+
+
+def _local_moves(graph, degree, two_m, order):
+    """Move each node, in ``order``, to the neighbouring community of best
+    modularity gain, until a pass moves none; returns the communities."""
+    comm = list(range(len(graph)))
     comm_tot = degree[:]
-    order = [int(i) for i in rng.permutation(n)]
+    order = [int(i) for i in order]
     improved = True
     while improved:
         improved = False
@@ -278,19 +287,7 @@ def _local_move_phase(graph, loops, rng):
                 improved = True
             comm[i] = best_c
             comm_tot[best_c] += degree[i]
-    return comm, _modularity(graph, loops, comm)
-
-
-def _compiled_phase(move, graph, loops, rng):
-    """``_local_move_phase`` with its passes run by ``move``, from
-    ``native.local_mover``: the same degrees, visit order and result."""
-    n = len(graph)
-    degree = [2 * loops[i] + sum(graph[i].values()) for i in range(n)]
-    two_m = sum(degree)
-    if two_m == 0.0:
-        return list(range(n)), 0.0
-    comm = move(graph, degree, two_m, rng.permutation(n))
-    return comm, _modularity(graph, loops, comm)
+    return comm
 
 
 def _aggregate(graph, loops, comm):

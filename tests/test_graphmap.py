@@ -232,7 +232,8 @@ def _levels(graph, loops, seed):
     rng = _pcg(seed)
     while True:
         yield graph, loops
-        comm, _ = graphmap._local_move_phase(graph, loops, rng)
+        comm, _ = graphmap._local_move_phase(graphmap._local_moves, graph,
+                                             loops, rng)
         if len(set(comm)) == len(comm):
             return
         graph, loops = graphmap._aggregate(graph, loops, graphmap._dense(comm))
@@ -252,8 +253,9 @@ def test_compiled_phase_matches_python_phase(fixture_store):
     phases = 0
     for k, (graph, loops) in enumerate(graphs):
         for level in _levels(graph, loops, k):
-            want = graphmap._local_move_phase(*level, _pcg(k))
-            got = graphmap._compiled_phase(move, *level, _pcg(k))
+            want = graphmap._local_move_phase(graphmap._local_moves, *level,
+                                              _pcg(k))
+            got = graphmap._local_move_phase(move, *level, _pcg(k))
             assert (got[0], float(got[1]).hex()) == \
                 (want[0], float(want[1]).hex())
             phases += 1
@@ -268,9 +270,9 @@ def test_compiled_phase_matches_python_phase(fixture_store):
 def test_python_phase_serves_when_no_compiler(monkeypatch, kernel_cache):
     monkeypatch.setattr(native, "CC", "no-such-compiler")
     calls = []
-    python_phase = graphmap._local_move_phase
-    monkeypatch.setattr(graphmap, "_local_move_phase",
-                        lambda *a: calls.append(1) or python_phase(*a))
+    python_moves = graphmap._local_moves
+    monkeypatch.setattr(graphmap, "_local_moves",
+                        lambda *a: calls.append(1) or python_moves(*a))
     test_louvain_pinned()
     test_cluster_pinned()
     test_acceptance.test_05_louvain_optimal_monotone_and_deterministic()
