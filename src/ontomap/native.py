@@ -1,9 +1,10 @@
 """Build, cache and load ``kernels.c``, the compiled twins of
-``gibbs._sweep`` and of the passes of ``graphmap._local_move_phase``.
+``gibbs._sweep`` and of ``graphmap._local_moves``.
 
-README "Reproducibility" describes the cache.  With no compiler, or when
-the build or the load fails, :func:`sweeper` and :func:`local_mover`
-return None.
+README "Reproducibility" describes the cache, which keeps the ``KEEP``
+newest libraries.  With no compiler, or when the build or the load fails
+(another process may have pruned the library), :func:`sweeper` and
+:func:`local_mover` return None.
 """
 
 import ctypes
@@ -13,6 +14,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+from contextlib import suppress
 from functools import cache, partial
 from pathlib import Path
 
@@ -23,6 +25,9 @@ CC = "cc"
 # no fused multiply-add, fast-math or -march=native: on every CPU, each
 # operation rounds as it does in Python
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# libraries a build leaves in the cache, the newest first: more than one,
+# so that two checkouts can take turns on one cache without rebuilding
+KEEP = 2
 
 
 def cache_dir() -> Path:
@@ -33,7 +38,8 @@ def _load(directory: Path):
     """The library in ``directory``, built first unless its bytes match
     the digest recorded with it.  A build goes to a temporary directory
     beside it and is then moved into place, so that no process ever
-    loads a partly written file."""
+    loads a partly written file.  After a build, all but the ``KEEP``
+    newest libraries go, with their digests."""
     key = hashlib.sha256(repr((SOURCE.read_bytes(), FLAGS, sys.platform,
                                platform.machine())).encode()).hexdigest()
     lib = directory / f"{SOURCE.stem}-{key[:16]}.so"
@@ -51,6 +57,14 @@ def _load(directory: Path):
             digest.write_text(hashlib.sha256(built.read_bytes()).hexdigest())
             os.replace(built, lib)
             os.replace(digest, sig)
+        # another process may be pruning too
+        libs = []
+        for so in directory.glob("*.so"):
+            with suppress(OSError):
+                libs.append((so.stat().st_mtime, so))
+        for _, old in sorted(libs, reverse=True)[KEEP:]:
+            old.unlink(missing_ok=True)
+            old.with_suffix(".sha256").unlink(missing_ok=True)
     return ctypes.CDLL(str(lib))
 
 
@@ -115,9 +129,9 @@ def sweeper(tree, flat, K, alpha, beta, s):
 
 
 def local_mover():
-    """``move(graph, degree, two_m, order)``: the passes of
-    ``graphmap._local_move_phase`` through the kernel, returning the same
-    ``comm``; None when there is no kernel."""
+    """``move(graph, degree, two_m, order)``: ``graphmap._local_moves``
+    through the kernel, returning the same ``comm``; None when there is no
+    kernel."""
     lib = kernel()
     if lib is None:
         return None

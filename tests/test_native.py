@@ -1,5 +1,6 @@
-"""The loader of the compiled sweep: its flags, and a cache that is never
-trusted blindly.  ``test_gibbs`` checks what the kernel computes."""
+"""The loader of the compiled kernels: its flags, and a cache that is never
+trusted blindly and keeps only the newest libraries.  ``test_gibbs`` and
+``test_graphmap`` check what the kernels compute."""
 
 import hashlib
 import os
@@ -120,3 +121,35 @@ def test_concurrent_first_builds_all_load(tmp_path):
              for _ in range(3)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
     assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
+def _fake_build(cmd, **kwargs):
+    Path(cmd[cmd.index("-o") + 1]).write_bytes(b"not a library")
+
+
+def test_build_keeps_only_the_newest_libraries(kernel_cache, monkeypatch):
+    kernel_cache.mkdir(mode=0o700)
+    old = ("sweep-0", "kernels-1", "kernels-2", "kernels-3")
+    for age, stem in enumerate(old):
+        _plant(kernel_cache, Path(f"{stem}.so"), b"old", "digest")
+        os.utime(kernel_cache / f"{stem}.so", (1000 + age, 1000 + age))
+    monkeypatch.setattr(native.subprocess, "run", _fake_build)
+    assert native.kernel() is None      # the fake library does not load
+    [new] = {p.stem for p in kernel_cache.glob("*.so")} - set(old)
+    assert sorted(p.name for p in kernel_cache.iterdir()) == sorted(
+        f"{stem}.{ext}" for stem in (new, "kernels-3")
+        for ext in ("so", "sha256"))
+
+
+@needs_cc
+def test_library_removed_before_load_falls_back(kernel_cache, monkeypatch):
+    # another process's build may prune the library between its digest
+    # check and its load: the Python twins then run
+    real = native.ctypes.CDLL
+
+    def removed_first(path):
+        Path(path).unlink()
+        return real(path)
+
+    monkeypatch.setattr(native.ctypes, "CDLL", removed_first)
+    assert native.kernel() is None
