@@ -4,10 +4,9 @@ The graph mirrors the ontology: nodes are classes (optionally individuals),
 edges are direct subclass links, domain->range relation links, and individual
 level assertions.  Clustering runs Louvain modularity maximization on the
 undirected weighted projection, on integer node positions, with a seeded,
-reproducible move order.  ``_local_move_phase`` runs each phase; its local
-moves run in the compiled kernel (``native.local_mover``) or, without a
-compiler, in ``_local_moves``, its Python twin and oracle; both give the
-same bits.
+reproducible move order.  The local moves of each phase run in the
+compiled kernel (``native.local_mover``) or, without a compiler, in
+``_local_moves``, its Python twin and oracle; both give the same bits.
 """
 
 from __future__ import annotations
