@@ -25,7 +25,7 @@ CC = "cc"
 # no fused multiply-add, fast-math or -march=native: on every CPU, each
 # operation rounds as it does in Python
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# libraries a build leaves in the cache, the newest first: more than one,
+# libraries a build leaves in the cache, the newest ones: more than one,
 # so that two checkouts can take turns on one cache without rebuilding
 KEEP = 2
 
