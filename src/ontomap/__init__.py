@@ -87,7 +87,6 @@ from .forest import (
     TooManyCliques,
     build_forest,
     flat_forest,
-    maximal_cliques,
 )
 from .gibbs import (
     ForestVocabMismatch,
@@ -97,7 +96,6 @@ from .gibbs import (
     lda_gibbs,
     log_likelihood,
     phi_matrix,
-    sample_branch,
     tag_topics,
     top_words,
 )

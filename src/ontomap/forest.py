@@ -96,18 +96,9 @@ class SamplingIndex:
         self.member = bytes(member)
 
 
-def maximal_cliques(n: int, edges: set) -> list:
-    """Deterministic Bron-Kerbosch with pivoting over vertices 0..n-1.
-
-    ``edges`` holds undirected pairs (a, b), a < b.  Cliques come out sorted,
-    in lexicographic order.
-    """
-    return sorted(_bron_kerbosch(n, edges))
-
-
 def _bron_kerbosch(n: int, edges: set):
-    """Yield the maximal cliques one at a time, each as a sorted tuple, so a
-    caller can stop once it has seen enough of them."""
+    """Yield the maximal cliques on vertices 0..n-1 one at a time, each as a
+    sorted tuple, so a caller can stop once it has seen enough of them."""
     adj = {i: set() for i in range(n)}
     for a, b in edges:
         adj[a].add(b)

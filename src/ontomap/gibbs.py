@@ -310,14 +310,6 @@ def _sample_branch(forest, r, nkw, ncomp, rng):
     return _pick(list(accumulate(probs)), rng.random() * sum(probs))
 
 
-def sample_branch(forest: DirichletForest, region: int, topic_word_counts,
-                  rng) -> int:
-    """Resample one region's branch for fixed per-word topic counts."""
-    ncomp = [sum(topic_word_counts[w] for w in comp)
-             for comp in forest.components]
-    return _sample_branch(forest, region, topic_word_counts, ncomp, rng)
-
-
 # --- posterior summaries ----------------------------------------------------
 
 

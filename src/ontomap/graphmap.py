@@ -2,11 +2,10 @@
 
 The graph mirrors the ontology: nodes are classes (optionally individuals),
 edges are direct subclass links, domain->range relation links, and individual
-level assertions.  Clustering runs Louvain modularity maximization on the
-undirected weighted projection, on integer node positions, with a seeded,
-reproducible move order.  The local moves of each phase run in the
-compiled kernel (``native.local_mover``) or, without a compiler, in
-``_local_moves``, its Python twin and oracle; both give the same bits.
+level assertions.  :func:`cluster` runs seeded Louvain on ``_project``'s
+undirected graph.  Its local moves run in the compiled kernel
+(``native.local_mover``) or, with no compiler, in their Python twin and
+oracle ``_local_moves``; both give the same bits.
 """
 
 from __future__ import annotations
@@ -125,11 +124,10 @@ def build_concept_graph(store: InferredStore,
 
 
 def _project(g: ConceptGraph):
-    """The undirected weighted projection of ``g`` as :func:`_indexed`
-    gives it: sorted node names, per node a dict of neighbour weights in
-    the order of the node's first edge to each, and self-loop weights.
-    Parallel edges' weights are summed in edge order; direction is
-    dropped."""
+    """``g`` as an undirected graph on integer positions: the sorted node
+    names, per node a dict of neighbour weights in the order of its first
+    edge to each, and per node its self-loop weight.  Parallel edges'
+    weights are summed in edge order."""
     # Name's own order, without calling its Python-level __lt__
     nodes = sorted({n.name for n in g.nodes},
                    key=attrgetter("prefix", "local"))
@@ -143,24 +141,6 @@ def _project(g: ConceptGraph):
         else:
             graph[u][v] = graph[u].get(v, 0.0) + w
             graph[v][u] = graph[v].get(u, 0.0) + w
-    return nodes, graph, loops
-
-
-def _indexed(adj: dict):
-    """Sorted nodes plus the graph on their positions: per node a dict of
-    neighbour weights in ``adj[u]``'s insertion order (self-loops left
-    out), and its self-loop weight.  ``adj[u][v]`` holds the weight of
-    the undirected edge, ``adj[u][u]`` a self-loop's."""
-    nodes = sorted(adj)
-    index = {n: i for i, n in enumerate(nodes)}
-    graph = [{} for _ in nodes]
-    loops = [0.0] * len(nodes)
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
-            if u == v:
-                loops[index[u]] += w
-            else:
-                graph[index[u]][index[v]] = w
     return nodes, graph, loops
 
 
@@ -208,16 +188,6 @@ def _dense(labels) -> list:
     """Renumber labels 0, 1, ... in order of first appearance."""
     remap = {}
     return [remap.setdefault(c, len(remap)) for c in labels]
-
-
-def louvain(adj: dict, seed: int):
-    """Louvain on an adjacency dict; returns (assignment, phase modularities).
-
-    Local moves visit nodes in a seeded shuffled order; a node only moves for
-    a strict modularity gain, ties among best targets break toward the lowest
-    community id.  Phases repeat until the gain drops below 1e-9.
-    """
-    return _louvain(*_indexed(adj), seed)
 
 
 def _louvain(nodes, graph, loops, seed):
@@ -308,6 +278,10 @@ def _aggregate(graph, loops, comm):
 
 
 def cluster(g: ConceptGraph, seed: int) -> Partition:
+    """Louvain on ``g``'s projection.  Nodes are visited in a seeded
+    shuffled order; a node moves only for a strict modularity gain, and
+    ties go to the lowest community id.  Phases stop once the gain is
+    below 1e-9."""
     if not g.nodes:
         raise EmptyGraph("cannot cluster an empty graph")
     assignment, _history = _louvain(*_project(g), seed)

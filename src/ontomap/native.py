@@ -2,9 +2,8 @@
 ``gibbs._sweep`` and of ``graphmap._local_moves``.
 
 README "Reproducibility" describes the cache, which keeps the ``KEEP``
-newest libraries.  With no compiler, or when the build or the load fails
-(another process may have pruned the library), :func:`sweeper` and
-:func:`local_mover` return None.
+newest libraries.  With no compiler, or when the build or the load
+fails, :func:`sweeper` and :func:`local_mover` return None.
 """
 
 import ctypes
@@ -34,12 +33,13 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "ontomap"
 
 
-def _load(directory: Path):
+def _load(directory: Path, retry=True):
     """The library in ``directory``, built first unless its bytes match
     the digest recorded with it.  A build goes to a temporary directory
     beside it and is then moved into place, so that no process ever
     loads a partly written file.  After a build, all but the ``KEEP``
-    newest libraries go, with their digests."""
+    newest libraries go, with their digests.  A library that another
+    process prunes before it is loaded is built once more."""
     key = hashlib.sha256(repr((SOURCE.read_bytes(), FLAGS, sys.platform,
                                platform.machine())).encode()).hexdigest()
     lib = directory / f"{SOURCE.stem}-{key[:16]}.so"
@@ -65,7 +65,12 @@ def _load(directory: Path):
         for _, old in sorted(libs, reverse=True)[KEEP:]:
             old.unlink(missing_ok=True)
             old.with_suffix(".sha256").unlink(missing_ok=True)
-    return ctypes.CDLL(str(lib))
+    try:
+        return ctypes.CDLL(str(lib))
+    except OSError:
+        if lib.exists() or not retry:
+            raise
+    return _load(directory, retry=False)
 
 
 @cache

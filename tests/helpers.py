@@ -1,5 +1,5 @@
-"""Shared test utilities: random generators, seeded synthetic corpora and
-independent oracles.
+"""Shared test utilities: random generators, seeded synthetic corpora,
+independent oracles, and Louvain on adjacency dicts.
 
 The oracles deliberately use naive algorithms (fixpoint loops, exhaustive
 partition enumeration, pairwise modularity sums) so they share no code or
@@ -13,7 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
+from ontomap import graphmap
 from ontomap.corpus import Corpus
+from ontomap.graphmap import ConceptGraph, GraphEdge, GraphNode
 from ontomap.model import (
     Characteristic,
     ClassAssertion,
@@ -433,3 +435,27 @@ def random_graph(rnd: random.Random, max_n: int = 50) -> dict:
         u = rnd.randrange(n)
         adj[u][u] = 1.0
     return adj
+
+
+# --- Louvain on adjacency dicts ---------------------------------------------
+
+
+def concept_graph(adj: dict):
+    """``adj`` (``adj[u][v]`` the weight of edge u-v) as a ConceptGraph with
+    each edge written once, and a map from its node names back to ``adj``'s
+    keys.  Node ``u`` is ``n{i:04d}``, ``i`` its place in ``sorted(adj)``."""
+    names = {u: Name("", f"n{i:04d}") for i, u in enumerate(sorted(adj))}
+    g = ConceptGraph(
+        nodes=tuple(GraphNode(name, "class", "") for name in names.values()),
+        edges=tuple(GraphEdge(names[u], names[v], "subclass", w)
+                    for u in names for v, w in adj[u].items()
+                    if names[u] <= names[v]))
+    return g, {name: u for u, name in names.items()}
+
+
+def louvain(adj: dict, seed: int):
+    """Louvain as :func:`graphmap.cluster` runs it, on ``adj``: the
+    assignment by ``adj``'s keys, and each phase's modularity."""
+    g, key = concept_graph(adj)
+    assignment, history = graphmap._louvain(*graphmap._project(g), seed)
+    return {key[name]: c for name, c in assignment.items()}, history

@@ -22,11 +22,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ontomap import cli
+from ontomap import cli, gibbs
 from ontomap.constraints import ConstraintSet
 from ontomap.forest import build_forest, flat_forest
-from ontomap.gibbs import dflda_gibbs, lda_gibbs, sample_branch, top_words
-from ontomap.graphmap import louvain
+from ontomap.gibbs import dflda_gibbs, lda_gibbs, top_words
 from ontomap.model import (
     ClassAssertion,
     Name,
@@ -41,6 +40,7 @@ from ontomap.synthetic import HEALTH_SNIPPETS
 from helpers import (
     brute_force_best_partition,
     cannot_link_corpus,
+    louvain,
     must_link_corpus,
     naive_closure,
     planted_two_topics,
@@ -275,7 +275,9 @@ def test_09_branch_sampler_matches_dirichlet_multinomial():
     expected = [expected[i] for i in order]
 
     rng = np.random.Generator(np.random.PCG64(123))
-    draws = [sample_branch(forest, 0, counts, rng) for _ in range(10000)]
+    ncomp = [sum(counts[w] for w in comp) for comp in forest.components]
+    draws = [gibbs._sample_branch(forest, 0, counts, ncomp, rng)
+             for _ in range(10000)]
     for j, p in enumerate(expected):
         freq = draws.count(j) / len(draws)
         assert freq == pytest.approx(p, abs=0.02)

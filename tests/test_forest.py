@@ -5,13 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from ontomap import forest
 from ontomap.constraints import ConstraintSet
 from ontomap.forest import (
     ConflictingConstraints,
     TooManyCliques,
     build_forest,
     flat_forest,
-    maximal_cliques,
 )
 
 
@@ -98,13 +98,13 @@ def test_hyperparameter_validation():
 
 def test_maximal_cliques_deterministic():
     edges = {(0, 1), (1, 2), (0, 2), (2, 3)}
-    got = maximal_cliques(4, edges)
+    got = sorted(forest._bron_kerbosch(4, edges))
     assert got == [(0, 1, 2), (2, 3)]
-    assert maximal_cliques(4, edges) == got
+    assert sorted(forest._bron_kerbosch(4, edges)) == got
 
 
 def test_maximal_cliques_empty_graph_gives_singletons():
-    assert maximal_cliques(3, set()) == [(0,), (1,), (2,)]
+    assert sorted(forest._bron_kerbosch(3, set())) == [(0,), (1,), (2,)]
 
 
 def test_maximal_cliques_match_networkx():
@@ -116,7 +116,7 @@ def test_maximal_cliques_match_networkx():
         g = nx.Graph(edges)
         g.add_nodes_from(range(n))
         want = sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
-        assert maximal_cliques(n, edges) == want
+        assert sorted(forest._bron_kerbosch(n, edges)) == want
 
 
 def _random_constraints(rnd):

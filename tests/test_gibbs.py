@@ -20,7 +20,6 @@ from ontomap.gibbs import (
     log_likelihood,
     phi_matrix,
     rank_words,
-    sample_branch,
     tag_topics,
     top_words,
 )
@@ -212,7 +211,9 @@ def test_sample_branch_prefers_dominant_branch():
     forest = build_forest(cs(cannot=[(0, 1)]), ("a", "b", "c"), beta=0.5)
     rng = np.random.Generator(np.random.PCG64(0))
     counts = [40, 0, 3]
-    picks = {sample_branch(forest, 0, counts, rng) for _ in range(50)}
+    ncomp = [sum(counts[w] for w in comp) for comp in forest.components]
+    picks = {gibbs._sample_branch(forest, 0, counts, ncomp, rng)
+             for _ in range(50)}
     heavy = next(j for j, cl in enumerate(forest.regions[0].cliques)
                  if 0 in {w for m in cl for w in forest.components[m]})
     assert picks == {heavy}

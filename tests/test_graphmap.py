@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_best_partition, modularity_oracle, random_graph
+from helpers import (brute_force_best_partition, concept_graph, louvain,
+                     modularity_oracle, random_graph)
 import test_acceptance
 from ontomap import graphmap, native, ofn, reasoner
 from ontomap.graphmap import (
@@ -25,7 +26,6 @@ from ontomap.graphmap import (
     build_concept_graph,
     cluster,
     export,
-    louvain,
     modularity,
 )
 from ontomap.model import Name
@@ -110,15 +110,9 @@ def test_modularity_agrees_with_pairwise_oracle():
     for _ in range(30):
         adj = random_graph(rnd, max_n=12)
         assignment = {u: rnd.randrange(3) for u in adj}
-        got = modularity(
-            ConceptGraph(
-                nodes=tuple(GraphNode(N(f"n{u}"), "class", str(u))
-                            for u in adj),
-                edges=tuple(GraphEdge(N(f"n{u}"), N(f"n{v}"), "subclass", w)
-                            for u in adj for v, w in adj[u].items()
-                            if u <= v),
-            ),
-            Partition({N(f"n{u}"): assignment[u] for u in adj}, seed=0))
+        g, key = concept_graph(adj)
+        got = modularity(g, Partition(
+            {name: assignment[u] for name, u in key.items()}, seed=0))
         want = modularity_oracle(adj, assignment)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -131,23 +125,20 @@ def test_modularity_matches_networkx():
     rnd = random.Random(41)
     for _ in range(100):
         adj = random_graph(rnd, max_n=20)
-        names = {u: f"n{u:02d}" for u in adj}
+        g, key = concept_graph(adj)
         edges = [(u, v, w) for u in adj for v, w in adj[u].items() if u <= v]
-        g = ConceptGraph(
-            nodes=tuple(GraphNode(N(names[u]), "class", "") for u in adj),
-            edges=tuple(GraphEdge(N(names[u]), N(names[v]), "subclass", w)
-                        for u, v, w in edges))
         k = rnd.randint(1, 4)
-        assignment = {N(names[u]): rnd.randrange(k) for u in adj}
+        assignment = {u: rnd.randrange(k) for u in adj}
         nxg = nx.Graph()
         nxg.add_nodes_from(adj)
         nxg.add_weighted_edges_from(edges)
         if nxg.size(weight="weight") == 0:
             continue  # networkx divides by the total weight
-        communities = [{u for u in adj if assignment[N(names[u])] == c}
+        communities = [{u for u in adj if assignment[u] == c}
                        for c in range(k)]
         want = nx.community.modularity(nxg, [c for c in communities if c])
-        got = modularity(g, Partition(assignment, seed=0))
+        got = modularity(g, Partition(
+            {name: assignment[u] for name, u in key.items()}, seed=0))
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -227,7 +218,7 @@ def _pcg(seed):
 
 
 def _levels(graph, loops, seed):
-    """The indexed graph and every level aggregated from it, as the Python
+    """The projected graph and every level aggregated from it, as the Python
     phase merges them."""
     rng = _pcg(seed)
     while True:
@@ -243,16 +234,14 @@ def _levels(graph, loops, seed):
 def test_compiled_phase_matches_python_phase(fixture_store):
     # weights 0.5, 1.0 and 2.0, self-loops, disconnected and one-node graphs
     rnd = random.Random(61)
-    graphs = [graphmap._indexed(random_graph(rnd, max_n=40))[1:]
-              for _ in range(30)]
-    graphs += [graphmap._indexed(adj)[1:] for adj in (
+    graphs = [concept_graph(adj)[0] for adj in (
+        *(random_graph(rnd, max_n=40) for _ in range(30)),
         {0: {}}, {0: {0: 1.0}}, {0: {}, 1: {}}, bridge_adj())]
-    graphs.append(graphmap._project(
-        build_concept_graph(fixture_store, include_individuals=True))[1:])
+    graphs.append(build_concept_graph(fixture_store, include_individuals=True))
     move = native.local_mover()
     phases = 0
-    for k, (graph, loops) in enumerate(graphs):
-        for level in _levels(graph, loops, k):
+    for k, g in enumerate(graphs):
+        for level in _levels(*graphmap._project(g)[1:], k):
             want = graphmap._local_move_phase(graphmap._local_moves, *level,
                                               _pcg(k))
             got = graphmap._local_move_phase(move, *level, _pcg(k))

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package, nor the tests' helpers,
 imports a name it never uses, and every module-level definition of the
-package is loaded somewhere."""
+package is loaded by code that is not a test."""
 
 import ast
 import os
@@ -63,10 +63,13 @@ def module_level_names(tree):
 
 
 def test_every_module_level_definition_is_loaded():
+    # what only tests load is test code; __init__ only re-exports
     loaded = set()
-    for folder in ("src", "tests", "demos", "scripts", "perfbench"):
+    for folder in ("src", "demos", "scripts", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
-            loaded.update(loaded_names(ast.parse(path.read_text("utf-8"))))
+            if path != PACKAGE / "__init__.py" and \
+                    not path.name.startswith("test_"):
+                loaded.update(loaded_names(ast.parse(path.read_text("utf-8"))))
     unused = sorted(
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))

@@ -141,15 +141,33 @@ def test_build_keeps_only_the_newest_libraries(kernel_cache, monkeypatch):
         for ext in ("so", "sha256"))
 
 
-@needs_cc
-def test_library_removed_before_load_falls_back(kernel_cache, monkeypatch):
-    # another process's build may prune the library between its digest
-    # check and its load: the Python twins then run
-    real = native.ctypes.CDLL
+def _removed_before_load(monkeypatch, times):
+    """The first ``times`` loads find their library pruned, as another
+    process's build may prune it after the digest check; returns the
+    paths loaded."""
+    real, paths = native.ctypes.CDLL, []
 
-    def removed_first(path):
-        Path(path).unlink()
+    def cdll(path):
+        paths.append(path)
+        if len(paths) <= times:
+            Path(path).unlink()
         return real(path)
 
-    monkeypatch.setattr(native.ctypes, "CDLL", removed_first)
+    monkeypatch.setattr(native.ctypes, "CDLL", cdll)
+    return paths
+
+
+@needs_cc
+def test_library_removed_before_load_is_rebuilt(kernel_cache, monkeypatch):
+    paths = _removed_before_load(monkeypatch, times=1)
+    assert native.kernel() is not None
+    assert len(paths) == 2 and Path(paths[1]).exists()
+
+
+@needs_cc
+def test_library_removed_before_load_falls_back(kernel_cache, monkeypatch):
+    # rebuilt once only: when that library goes too, the Python twins run,
+    # and no further load is tried in this process
+    paths = _removed_before_load(monkeypatch, times=3)
     assert native.kernel() is None
+    assert native.kernel() is None and len(paths) == 2
