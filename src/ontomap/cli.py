@@ -151,8 +151,7 @@ def _model_payload(state, corpus, lexicon, args, constrained):
     phi = gibbs_mod.phi_matrix(state)
     tops = gibbs_mod.rank_words(phi, corpus.vocabulary, args.top)
     topics = []
-    tags = (gibbs_mod.score_tags(phi, corpus.vocabulary, lexicon, args.top)
-            if lexicon else None)
+    tags = gibbs_mod.score_tags(tops, lexicon) if lexicon else None
     for k in range(state.K):
         entry = {"id": k,
                  "top_words": [[w, p] for w, p in tops[k]]}
@@ -206,6 +205,8 @@ def cmd_tag(args, stdout, stderr) -> int:
         if not (isinstance(vocabulary, list)
                 and all(isinstance(w, str) for w in vocabulary)):
             raise ValueError("vocabulary is not a list of strings")
+        if len(set(vocabulary)) < len(vocabulary):
+            raise ValueError("vocabulary repeats a word")
         for k, row in enumerate(phi):
             if not (isinstance(row, list) and len(row) == len(vocabulary)
                     and all(isinstance(p, float) and math.isfinite(p)
@@ -221,7 +222,8 @@ def cmd_tag(args, stdout, stderr) -> int:
     if code:
         return code
     lexicon = build_lexicon(o)
-    tags = gibbs_mod.score_tags(phi, vocabulary, lexicon, args.top)
+    tags = gibbs_mod.score_tags(
+        gibbs_mod.rank_words(phi, vocabulary, args.top), lexicon)
     tagged = [{"id": k, "tags": [[str(c), s] for c, s in scored]}
               for k, scored in enumerate(tags)]
     return _write_bytes(args.out, _json_bytes({"topics": tagged}),

@@ -329,16 +329,13 @@ def phi_matrix(state: TopicModelState):
              for w in range(V)] for k in range(state.K)]
 
 
-def _ranked(row, n: int) -> list:
-    """Ids of the ``n`` most probable words in ``row``; ties by word id."""
-    return nsmallest(n, range(len(row)), key=lambda w: (-row[w], w))
-
-
 def rank_words(phi, vocabulary, n: int):
-    """Per-topic ranked (word, probability) lists; ties break by word id."""
+    """Per-topic ranked (word, probability) lists of the ``n`` most probable
+    words; ties break by word id."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [[(vocabulary[w], row[w]) for w in _ranked(row, n)] for row in phi]
+    return [[(vocabulary[w], row[w]) for w in nsmallest(
+        n, range(len(row)), key=lambda w: (-row[w], w))] for row in phi]
 
 
 def top_words(state: TopicModelState, corpus: Corpus, n: int):
@@ -346,25 +343,25 @@ def top_words(state: TopicModelState, corpus: Corpus, n: int):
     return rank_words(phi_matrix(state), corpus.vocabulary, n)
 
 
-def score_tags(phi, vocabulary, lexicon: dict, n: int):
-    """Rank ontology concepts against each topic's top-``n`` words.
+def score_tags(tops, lexicon: dict):
+    """Rank ontology concepts against each topic's ranked words.
 
-    score(concept, topic) = sum of phi over the concept tokens that appear
-    in the topic's top-n words, normalized by the concept's token count.
-    The sum follows the iteration order of the concept's token set, which
-    varies with the interpreter's string hash seed.
+    ``tops`` holds one ranked (word, probability) list per topic, as
+    :func:`rank_words` returns.  score(concept, topic) = sum of the
+    probabilities of the concept tokens among the topic's words, normalized
+    by the concept's token count.  The sum follows the iteration order of
+    the concept's token set, which varies with the interpreter's string
+    hash seed.
     """
-    index = {w: i for i, w in enumerate(vocabulary)}
     out = []
-    for row in phi:
-        topn = {vocabulary[w] for w in _ranked(row, n)}
+    for top in tops:
+        prob = dict(top)
         scored = []
         for concept in sorted(lexicon, key=str):
             tokens = lexicon[concept]
-            hit = [t for t in tokens if t in topn]
+            hit = [prob[t] for t in tokens if t in prob]
             if hit:
-                score = sum(row[index[t]] for t in hit) / len(tokens)
-                scored.append((concept, score))
+                scored.append((concept, sum(hit) / len(tokens)))
         scored.sort(key=lambda cs: (-cs[1], str(cs[0])))
         out.append(scored)
     return out
@@ -372,8 +369,8 @@ def score_tags(phi, vocabulary, lexicon: dict, n: int):
 
 def tag_topics(state: TopicModelState, corpus: Corpus, lexicon: dict,
                n: int = 10):
-    """:func:`score_tags` over the state's :func:`phi_matrix`."""
-    return score_tags(phi_matrix(state), corpus.vocabulary, lexicon, n)
+    """:func:`score_tags` over the state's :func:`top_words`."""
+    return score_tags(top_words(state, corpus, n), lexicon)
 
 
 def log_likelihood(state: TopicModelState, corpus: Corpus) -> float:

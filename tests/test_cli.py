@@ -244,8 +244,10 @@ def test_tag_model_without_phi_exit_2(fixture_path, tmp_path):
      "phi row 0 is not one float per word"),
     ('{"phi": [[0.5, -Infinity]], "vocabulary": ["a", "b"]}',
      "phi row 0 is not one float per word"),
+    ('{"phi": [[0.5, 0.25]], "vocabulary": ["x", "x"]}',
+     "vocabulary repeats a word"),
 ], ids=["short-row", "string-entry", "list-word", "nan", "infinity",
-        "minus-infinity"])
+        "minus-infinity", "repeated-word"])
 def test_tag_model_phi_not_matching_vocabulary_exit_2(fixture_path, tmp_path,
                                                       model, message):
     path = tmp_path / "model.json"
