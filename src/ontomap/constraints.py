@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 
 from .model import (
     ClassAssertion,
@@ -81,18 +82,17 @@ def derive_constraints(o: Ontology, lexicon: dict, vocabulary) -> ConstraintSet:
         elif isinstance(ax, DisjointUnion):
             disjoint_groups.append(ax.parts)
     for group in disjoint_groups:
-        for i, c in enumerate(group):
-            for d in group[i + 1:]:
-                wc, wd = class_word_ids(c), class_word_ids(d)
-                shared = wc & wd
-                if shared:
-                    words = sorted(vocabulary[w] for w in shared)
-                    log.warning("tokens %s appear on both sides of the "
-                                "cannot-link between %s and %s; skipped",
-                                words, c, d)
-                for a in sorted(wc - shared):
-                    for b in sorted(wd - shared):
-                        cannot.setdefault(_pair(a, b), []).append(f"{c}|{d}")
+        for c, d in combinations(group, 2):
+            wc, wd = class_word_ids(c), class_word_ids(d)
+            shared = wc & wd
+            if shared:
+                words = sorted(vocabulary[w] for w in shared)
+                log.warning("tokens %s appear on both sides of the "
+                            "cannot-link between %s and %s; skipped",
+                            words, c, d)
+            for a in sorted(wc - shared):
+                for b in sorted(wd - shared):
+                    cannot.setdefault(_pair(a, b), []).append(f"{c}|{d}")
 
     # cannot-links joined by the must-link closure are pruned
     find = _union_find(must, len(vocabulary))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Union
 
 from .model import (
@@ -86,7 +87,6 @@ class InferredStore:
     ontology: Ontology
     derivations: dict          # fact -> its first derivation: the fact table
     violations: tuple
-    disjoint_pairs: frozenset  # of (Name, Name), sorted pairs
     isa_by_cls: dict           # class -> set of its member individuals
     subs_of: dict              # class -> set of its superclasses (Sub facts)
 
@@ -160,9 +160,8 @@ class _Engine:
             elif isinstance(ax, PropertyCharacteristic):
                 self.props[ax.characteristic].add(ax.prop)
             elif isinstance(ax, DisjointClasses):
-                for i, c in enumerate(ax.classes):
-                    for d in ax.classes[i + 1:]:
-                        self.disjoint_pairs.add((min(c, d), max(c, d)))
+                # the model keeps the classes sorted, so each pair is too
+                self.disjoint_pairs.update(combinations(ax.classes, 2))
             elif isinstance(ax, SubClassOf):
                 if isinstance(ax.sup, Name):
                     # a union on the left means every member is subsumed
@@ -181,11 +180,10 @@ class _Engine:
                         if m != a:
                             self.add(Sub(m, a), "R3b")
             elif isinstance(ax, DisjointUnion):
-                for i, p in enumerate(ax.parts):
+                for p in ax.parts:
                     if p != ax.whole:
                         self.add(Sub(p, ax.whole), "R3")
-                    for q in ax.parts[i + 1:]:
-                        self.disjoint_pairs.add((min(p, q), max(p, q)))
+                self.disjoint_pairs.update(combinations(ax.parts, 2))
             elif isinstance(ax, ClassAssertion):
                 if isinstance(ax.cls, Name):
                     self.add(IsA(ax.individual, ax.cls), "asserted")
@@ -246,13 +244,19 @@ class _Engine:
     # -- violation scan (after fixpoint) --
 
     def collect_violations(self) -> list:
+        # saturate sorts the violations by kind, so the kinds may interleave
         violations = []
         for c, d in sorted(self.disjoint_pairs):
-            both = self.isa_by_cls.get(c, set()) & self.isa_by_cls.get(d, set())
+            both = self.isa_by_cls.get(c, _NONE) & self.isa_by_cls.get(d, _NONE)
             for a in sorted(both):
                 violations.append(Violation(
                     "DisjointMembership", (a, c, d),
                     (IsA(a, c), IsA(a, d))))
+            unsat = self.sups_of.get(c, _NONE) & self.sups_of.get(d, _NONE)
+            for x in sorted(unsat):
+                violations.append(Violation(
+                    "UnsatisfiableClass", (x, c, d),
+                    (Sub(x, c), Sub(x, d))))
         for p in sorted(self.props[Characteristic.IRREFLEXIVE]):
             for a, objs in sorted(self.rel_out.get(p, {}).items()):
                 if a in objs:
@@ -280,12 +284,6 @@ class _Engine:
                     violations.append(Violation(
                         "FunctionalFanout", (p, b) + sources,
                         tuple(Rel(p, a, b) for a in sources)))
-        for c, d in sorted(self.disjoint_pairs):
-            unsat = self.sups_of.get(c, set()) & self.sups_of.get(d, set())
-            for x in sorted(unsat):
-                violations.append(Violation(
-                    "UnsatisfiableClass", (x, c, d),
-                    (Sub(x, c), Sub(x, d))))
         return violations
 
 
@@ -322,7 +320,6 @@ def saturate(o: Ontology, strict: bool = False) -> InferredStore:
         ontology=o,
         derivations=engine.derivations,
         violations=tuple(violations),
-        disjoint_pairs=frozenset(engine.disjoint_pairs),
         isa_by_cls=engine.isa_by_cls,
         subs_of=engine.subs_of,
     )

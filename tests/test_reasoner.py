@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from ontomap.model import (
     Characteristic,
     ClassAssertion,
     DisjointClasses,
+    DisjointUnion,
     EntityKind,
     InverseObjectProperties,
     Name,
@@ -404,9 +406,7 @@ def test_explain_and_leaves_on_a_derivation_5000_levels_deep():
         derivations[fact] = Derivation(fact, "R1", (step, below))
         below = fact
     store = InferredStore(ontology=tiny(), derivations=derivations,
-                          violations=(),
-                          disjoint_pairs=frozenset(), isa_by_cls={},
-                          subs_of={})
+                          violations=(), isa_by_cls={}, subs_of={})
     root = node = explain(store, below)
     for i in range(depth, 1, -1):
         assert (node.fact, node.rule) == (Sub(N(f"C{i}"), N("C0")), "R1")
@@ -430,6 +430,17 @@ def _strs(items):
     return [str(x) for x in items]
 
 
+def _disjoint_pairs(o):
+    """The class pairs of the disjointness axioms, each pair sorted."""
+    pairs = set()
+    for ax in o.axioms:
+        if isinstance(ax, DisjointClasses):
+            pairs.update(combinations(ax.classes, 2))
+        elif isinstance(ax, DisjointUnion):
+            pairs.update(combinations(ax.parts, 2))
+    return pairs
+
+
 def _store_record(store):
     tax = classify(store)
     return (
@@ -440,7 +451,7 @@ def _store_record(store):
          for v in store.violations],
         sorted((str(c), sorted(_strs(m)))
                for c, m in store.isa_by_cls.items()),
-        sorted(_strs(pair) for pair in store.disjoint_pairs),
+        sorted(_strs(pair) for pair in _disjoint_pairs(store.ontology)),
         [(str(c), sorted(_strs(tax.direct_supers[c])),
           sorted(_strs(tax.direct_subs[c])))
          for c in sorted(tax.direct_supers)],
