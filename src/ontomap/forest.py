@@ -17,6 +17,10 @@ from itertools import islice
 
 from .constraints import ConstraintSet, _union_find
 
+# the most branches a region may have; its clique count can grow
+# exponentially with its size
+MAX_CLIQUES = 128
+
 
 class TooManyCliques(Exception):
     pass
@@ -118,8 +122,7 @@ def _bron_kerbosch(n: int, edges: set):
 
 
 def build_forest(cs: ConstraintSet, vocabulary, beta: float = 0.01,
-                 eta: float = 100.0, epsilon: float = 1e-6,
-                 max_cliques: int = 128) -> DirichletForest:
+                 eta: float = 100.0, epsilon: float = 1e-6) -> DirichletForest:
     if beta <= 0:
         raise ValueError("beta must be positive")
     if eta < 1:
@@ -175,13 +178,12 @@ def build_forest(cs: ConstraintSet, vocabulary, beta: float = 0.01,
         comp_edges = {(i, j) for i in range(len(units))
                       for j in range(i + 1, len(units))
                       if (i, j) not in forbidden}
-        # stop the enumeration one past the budget: a region's clique count
-        # can grow exponentially with its size
+        # stop the enumeration one past the budget
         cliques = sorted(islice(_bron_kerbosch(len(units), comp_edges),
-                                max_cliques + 1))
-        if len(cliques) > max_cliques:
+                                MAX_CLIQUES + 1))
+        if len(cliques) > MAX_CLIQUES:
             raise TooManyCliques(
-                f"region has more than {max_cliques} branches; "
+                f"region has more than {MAX_CLIQUES} branches; "
                 f"thin the constraint set")
         regions.append(Region(
             component_ids=tuple(ids),

@@ -66,13 +66,13 @@ def test_conflicting_constraints_rejected():
         build_forest(cs(must=[(0, 1)], cannot=[(0, 1)]), VOCAB)
 
 
-def test_too_many_cliques():
+def test_too_many_cliques(monkeypatch):
     # complete cannot-link bipartite-free structure with many branches:
-    # pairwise cannot among 9 singletons -> 9 branches > max_cliques=8
+    # pairwise cannot among 9 singletons -> 9 branches > MAX_CLIQUES=8
+    monkeypatch.setattr(forest, "MAX_CLIQUES", 8)
     pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
-    with pytest.raises(TooManyCliques):
-        build_forest(cs(cannot=pairs), tuple(f"v{i}" for i in range(9)),
-                     max_cliques=8)
+    with pytest.raises(TooManyCliques, match="more than 8 branches"):
+        build_forest(cs(cannot=pairs), tuple(f"v{i}" for i in range(9)))
 
 
 def test_clique_budget_stops_the_enumeration():
@@ -127,16 +127,16 @@ def _random_constraints(rnd):
     return n, cs(sorted(must), sorted(cannot))
 
 
-def test_build_forest_pinned():
+def test_build_forest_pinned(monkeypatch):
     # components, regions and the sampling index over random constraint
     # sets; conflicts and over-budget regions pin their message instead
+    monkeypatch.setattr(forest, "MAX_CLIQUES", 4)
     rnd = random.Random(5)
     out = []
     for _ in range(300):
         n, constraints = _random_constraints(rnd)
         try:
-            f = build_forest(constraints, tuple(f"w{i}" for i in range(n)),
-                             max_cliques=4)
+            f = build_forest(constraints, tuple(f"w{i}" for i in range(n)))
         except (ConflictingConstraints, TooManyCliques) as exc:
             out.append(f"{type(exc).__name__}: {exc}")
             continue
