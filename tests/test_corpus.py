@@ -3,7 +3,6 @@ import json
 import pytest
 
 from ontomap.corpus import (
-    Corpus,
     EmptyCorpus,
     ingest_corpus,
     read_records,

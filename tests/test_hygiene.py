@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package, nor the tests' helpers,
-imports a name it never uses, and every module-level definition of the
-package is loaded by code that is not a test."""
+"""Source hygiene: no Python file of the package, the tests, the demos or
+the scripts imports a name it never uses, and every module-level definition
+of the package is loaded by code that is not a test."""
 
 import ast
 import os
@@ -12,10 +12,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "ontomap"
-# the package's __init__ imports names only to re-export them; the tests'
-# shared helpers are checked as a module too
+# the package's __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-MODULES.append(ROOT / "tests" / "helpers.py")
+for folder in ("tests", "demos", "scripts"):
+    MODULES += sorted((ROOT / folder).glob("*.py"))
 
 
 def imported_names(tree):

@@ -2,8 +2,6 @@ import hashlib
 import random
 import time
 
-import pytest
-
 from helpers import random_ontology
 from ontomap import ofn
 from ontomap.model import EntityKind, Name, SubClassOf
