@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from helpers import naive_closure, random_ontology, random_reasoner_ontology
+from ontomap import graphmap
 from ontomap.model import (
     Characteristic,
     ClassAssertion,
@@ -282,6 +283,40 @@ def test_matches_naive_oracle_small_batch():
     for _ in range(40):
         o = random_reasoner_ontology(rnd)
         assert saturate(o).facts == naive_closure(o)
+
+
+# --- axiom order: equal ontologies give equal results ----------------------
+
+
+def test_every_domain_and_range_axiom_fires():
+    o = tiny(classes=["A", "B"], props=["p"], individuals=["x", "y"],
+             axioms=[ObjectPropertyDomain(N("p"), N("A")),
+                     ObjectPropertyDomain(N("p"), N("B")),
+                     ObjectPropertyRange(N("p"), N("A")),
+                     ObjectPropertyRange(N("p"), N("B")),
+                     ObjectPropertyAssertion(N("p"), N("x"), N("y"))])
+    isa = {f for f in saturate(o).facts if isinstance(f, IsA)}
+    assert isa == {IsA(N(a), N(c)) for a in "xy" for c in "AB"}
+
+
+def test_results_do_not_follow_axiom_order(fixture_ontology):
+    ontologies = [fixture_ontology]
+    ontologies += [random_reasoner_ontology(random.Random(s))
+                   for s in range(100)]
+    ontologies += [random_ontology(random.Random(s)) for s in range(100)]
+    for seed, o in enumerate(ontologies):
+        axioms = list(o.axioms)
+        random.Random(seed).shuffle(axioms)
+        shuffled = replace(o, axioms=tuple(axioms))
+        assert shuffled == o and hash(shuffled) == hash(o)
+        a, b = saturate(o), saturate(shuffled)
+        assert a.facts == b.facts, seed
+        assert a.violations == b.violations, seed
+        ga = graphmap.build_concept_graph(a, include_individuals=True)
+        gb = graphmap.build_concept_graph(b, include_individuals=True)
+        for fmt in graphmap.FORMATS:
+            assert graphmap.export(ga, None, fmt) == \
+                graphmap.export(gb, None, fmt), (seed, fmt)
 
 
 # --- deep inputs: the joins stay exact and polynomial in depth --------------
