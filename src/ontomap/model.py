@@ -377,11 +377,12 @@ class Ontology:
     # -- annotation helpers --
 
     def labels(self) -> dict:
+        """Name -> its label texts, sorted as ``serialize`` writes them."""
         out: dict[Name, list[str]] = {}
         for ax in self.axioms:
             if isinstance(ax, Label):
                 out.setdefault(ax.entity, []).append(ax.text)
-        return {n: tuple(ts) for n, ts in out.items()}
+        return {n: tuple(sorted(ts)) for n, ts in out.items()}
 
 
 def check_reference(o: Ontology, name: Name,

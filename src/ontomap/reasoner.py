@@ -105,8 +105,13 @@ class _Engine:
     ``derivations`` maps each fact to its first derivation, and is the fact
     table.  Indexes, one map per predicate as RDFox keeps them: ``subs_of[A]``
     and ``sups_of[B]`` for ``Sub(A, B)``, ``isa_by_cls[C]`` for ``IsA(a, C)``,
-    ``rel_out[p][a]`` and ``rel_in[p][b]`` for ``Rel(p, a, b)``.
-    ``props[characteristic]`` holds the properties with that characteristic.
+    ``rel_out[p][a]`` and ``rel_in[p][b]`` for ``Rel(p, a, b)``.  The
+    property metadata is set-valued, so every axiom fires and the facts do
+    not follow axiom order: ``domain[p]``, ``range[p]``, ``inverse[p]`` and
+    ``superprops[p]`` hold classes or properties, each joined in sorted
+    order, and ``props[characteristic]`` the properties with that
+    characteristic.  ``disjoint_pairs`` holds sorted class pairs.  Only the
+    first derivation of a fact, which ``explain`` shows, follows axiom order.
     Every join iterates only the delta, the candidates whose consequence is
     not yet a fact.  It is exact: a skipped ``add`` was a no-op, each ``add``
     of a loop makes a different fact and so cannot make a later candidate new
@@ -149,9 +154,9 @@ class _Engine:
         # no rule fires before run(), so metadata may follow the facts
         for ax in self.o.axioms:
             if isinstance(ax, ObjectPropertyDomain) and isinstance(ax.cls, Name):
-                self.domain[ax.prop] = ax.cls
+                self.domain.setdefault(ax.prop, set()).add(ax.cls)
             elif isinstance(ax, ObjectPropertyRange) and isinstance(ax.cls, Name):
-                self.range[ax.prop] = ax.cls
+                self.range.setdefault(ax.prop, set()).add(ax.cls)
             elif isinstance(ax, InverseObjectProperties):
                 self.inverse.setdefault(ax.a, set()).add(ax.b)
                 self.inverse.setdefault(ax.b, set()).add(ax.a)
@@ -222,12 +227,10 @@ class _Engine:
 
     def _fire_rel(self, f: Rel):
         p, a, b = f.prop, f.subject, f.object
-        dom = self.domain.get(p)
-        if dom is not None:
-            self.add(IsA(a, dom), "R5", (f,))
-        rng = self.range.get(p)
-        if rng is not None:
-            self.add(IsA(b, rng), "R6", (f,))
+        for c in sorted(self.domain.get(p, ())):
+            self.add(IsA(a, c), "R5", (f,))
+        for c in sorted(self.range.get(p, ())):
+            self.add(IsA(b, c), "R6", (f,))
         for q in sorted(self.inverse.get(p, ())):
             self.add(Rel(q, b, a), "R7", (f,))
         if p in self.props[Characteristic.SYMMETRIC]:

@@ -306,9 +306,9 @@ def naive_closure(o: Ontology) -> frozenset:
     facts = set()
     for ax in o.axioms:
         if isinstance(ax, ObjectPropertyDomain) and isinstance(ax.cls, Name):
-            dom[ax.prop] = ax.cls
+            dom.setdefault(ax.prop, set()).add(ax.cls)
         elif isinstance(ax, ObjectPropertyRange) and isinstance(ax.cls, Name):
-            rng_[ax.prop] = ax.cls
+            rng_.setdefault(ax.prop, set()).add(ax.cls)
         elif isinstance(ax, InverseObjectProperties):
             inv.setdefault(ax.a, set()).add(ax.b)
             inv.setdefault(ax.b, set()).add(ax.a)
@@ -354,10 +354,10 @@ def naive_closure(o: Ontology) -> frozenset:
                 if f.cls == g.sub:
                     new.add(IsA(f.individual, g.sup))
         for f in rels:
-            if f.prop in dom:
-                new.add(IsA(f.subject, dom[f.prop]))
-            if f.prop in rng_:
-                new.add(IsA(f.object, rng_[f.prop]))
+            for c in dom.get(f.prop, ()):
+                new.add(IsA(f.subject, c))
+            for c in rng_.get(f.prop, ()):
+                new.add(IsA(f.object, c))
             for q in inv.get(f.prop, ()):
                 new.add(Rel(q, f.object, f.subject))
             if f.prop in sym:

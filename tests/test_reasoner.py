@@ -512,4 +512,4 @@ def test_saturate_pinned(fixture_ontology):
                      "AsymmetryBreach", "FunctionalFanout",
                      "UnsatisfiableClass", "StrictDomainRange"}
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
-        "c4cf282fb0d87769a0e11946099285ca780fd23a86cb62a9ea99be957796bd42")
+        "29a50472634f2d85b94f866c54474cf28436514cc0a87c5a5d1aaef5839a129c")
