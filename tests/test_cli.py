@@ -344,25 +344,55 @@ def test_help_returns_0_with_text_on_given_stdout(monkeypatch):
     assert (code, err) == (0, "") and out.startswith("usage: ontomap [-h]")
 
 
-def test_reason_and_graph_bytes_do_not_follow_the_hash_seed(fixture_path,
-                                                            tmp_path):
+# runs each command line of the JSON list argv[1] through cli.main and
+# prints one JSON line [exit code, stdout, stderr] per command
+RUN_ALL = """\
+import io, json, sys
+from ontomap import cli
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(argv, stdout=out, stderr=err)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
+def test_reason_and_graph_bytes_do_not_follow_the_hash_seed(
+        fixture_path, corpus_path, tmp_path):
     # each process hashes strings with its own PYTHONHASHSEED, so set and
-    # dict order may differ between runs; the outputs must not
-    commands = {
-        "reason": ["reason", str(fixture_path), "--strict", "--out"],
-        "graphml": ["graph", str(fixture_path), "--cluster",
-                    "--format", "graphml", "--out"],
-        "dot": ["graph", str(fixture_path), "--cluster",
-                "--format", "dot", "--out"],
-    }
+    # dict order may differ between runs; the outputs of every subcommand
+    # must not.  One process per hash seed runs all of them.
+    fixture = str(fixture_path)
+    lda = ["lda", corpus_path, "--k", "3", "--iters", "30", "--min-df", "1"]
     seen = {}
     for hash_seed in ("0", "1", "2"):
-        env = subprocess_env(PYTHONHASHSEED=hash_seed)
-        for name, argv in commands.items():
-            out = tmp_path / f"{name}-{hash_seed}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "ontomap.cli", *argv, str(out)],
-                capture_output=True, env=env)
-            got = (proc.returncode, proc.stdout, out.read_bytes())
+        d = tmp_path / hash_seed
+        d.mkdir()
+        commands = {
+            "validate": ["validate", fixture],
+            "metrics": ["metrics", fixture],
+            "reason": ["reason", fixture, "--strict", "--out", d / "reason"],
+            "graphml": ["graph", fixture, "--cluster", "--format", "graphml",
+                        "--out", d / "graphml"],
+            "dot": ["graph", fixture, "--cluster", "--format", "dot",
+                    "--out", d / "dot"],
+            "lda": [*lda, "--out", d / "lda"],
+            "model": [*lda, "--ontology", fixture, "--constrained",
+                      "--out", d / "model"],
+            "tag": ["tag", d / "model", "--ontology", fixture,
+                    "--out", d / "tag"],
+        }
+        argvs = [[str(a) for a in argv] for argv in commands.values()]
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ALL, json.dumps(argvs)],
+            capture_output=True, text=True, check=True,
+            env=subprocess_env(PYTHONHASHSEED=hash_seed))
+        results = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(results) == len(commands)
+        for name, result in zip(commands, results):
+            path = d / name
+            got = (result, path.read_bytes() if path.exists() else None)
             assert got == seen.setdefault(name, got), (name, hash_seed)
-    assert seen["reason"][0] == 3  # the strict report has violations
+    assert seen["reason"][0][0] == 3  # the strict report has violations
+    assert [seen[name][0][0] for name in ("validate", "metrics", "graphml",
+                                          "dot", "lda", "model", "tag")] \
+        == [0] * 7
