@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import nsmallest
 from itertools import accumulate, chain, islice
-from math import exp, inf, lgamma
+from math import exp, fsum, inf, lgamma
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -349,9 +349,9 @@ def score_tags(tops, lexicon: dict):
     ``tops`` holds one ranked (word, probability) list per topic, as
     :func:`rank_words` returns.  score(concept, topic) = sum of the
     probabilities of the concept tokens among the topic's words, normalized
-    by the concept's token count.  The sum follows the iteration order of
-    the concept's token set, which varies with the interpreter's string
-    hash seed.
+    by the concept's token count.  ``fsum`` rounds the sum correctly, so
+    it does not depend on the order of the token set, which follows the
+    string hash seed.
     """
     out = []
     for top in tops:
@@ -361,7 +361,7 @@ def score_tags(tops, lexicon: dict):
             tokens = lexicon[concept]
             hit = [prob[t] for t in tokens if t in prob]
             if hit:
-                scored.append((concept, sum(hit) / len(tokens)))
+                scored.append((concept, fsum(hit) / len(tokens)))
         scored.sort(key=lambda cs: (-cs[1], str(cs[0])))
         out.append(scored)
     return out
