@@ -105,13 +105,12 @@ class _Engine:
     ``derivations`` maps each fact to its first derivation, and is the fact
     table.  Indexes, one map per predicate as RDFox keeps them: ``subs_of[A]``
     and ``sups_of[B]`` for ``Sub(A, B)``, ``isa_by_cls[C]`` for ``IsA(a, C)``,
-    ``rel_out[p][a]`` and ``rel_in[p][b]`` for ``Rel(p, a, b)``.  The
-    property metadata is set-valued, so every axiom fires and the facts do
-    not follow axiom order: ``domain[p]``, ``range[p]``, ``inverse[p]`` and
-    ``superprops[p]`` hold classes or properties, each joined in sorted
-    order, and ``props[characteristic]`` the properties with that
-    characteristic.  ``disjoint_pairs`` holds sorted class pairs.  Only the
-    first derivation of a fact, which ``explain`` shows, follows axiom order.
+    ``rel_out[p][a]`` and ``rel_in[p][b]`` for ``Rel(p, a, b)``.
+    ``domain[p]``, ``range[p]``, ``inverse[p]`` and ``superprops[p]`` are
+    sets, read in sorted order, so every axiom fires and the facts do not
+    follow axiom order; only a fact's first derivation, which ``explain``
+    shows, does.  ``props[characteristic]`` holds the properties with that
+    characteristic, and ``disjoint_pairs`` the sorted disjoint class pairs.
     Every join iterates only the delta, the candidates whose consequence is
     not yet a fact.  It is exact: a skipped ``add`` was a no-op, each ``add``
     of a loop makes a different fact and so cannot make a later candidate new
